@@ -3,7 +3,8 @@ tail-divergence classification.
 
 The semi-infinite domain is mapped onto [0, 1) by x = t/(1-t) and integrated
 with an adaptive Gauss(7)-Kronrod(15) rule; callers may declare interior
-split points (resonances, cutoffs) to seed the initial subdivision.
+split points (resonances, cutoffs) to seed the initial subdivision. An
+integrand may return a 1-D ndarray of entries that share one set of panels.
 Principal-value integrals fold the two sides of the pole together, so the
 odd singular part cancels pointwise and no excision parameter survives.
 """
@@ -14,7 +15,9 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "IntegralResult",
@@ -58,6 +61,9 @@ _WG = (
     0.417959183673469,
 )
 
+# an integrand value: one float, or a 1-D ndarray of entries on shared panels
+Entries = Union[float, np.ndarray]
+
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_EVALS = 2_000_000
 
@@ -80,8 +86,8 @@ class Inconclusive(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float
-    abs_error_estimate: float
+    value: Entries
+    abs_error_estimate: Entries
     evaluations: int
     converged: bool
 
@@ -101,8 +107,8 @@ class DivergenceClass:
         return f"{self.tag.value}({self.sign_of_tail})"
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate and |K15 - G7| error on [a, b]."""
+def _gk15(f: Callable[[float], Entries], a: float, b: float) -> tuple[Entries, Entries]:
+    """Kronrod-15 estimate and |K15 - G7| error on [a, b], entry by entry."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
@@ -121,60 +127,85 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
 
 
 def integrate_interval(
-    f: Callable[[float], float],
+    f: Callable[[float], Entries],
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
     split_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> IntegralResult:
-    """Adaptive GK15 integral of f over the finite interval [a, b]."""
+    """Adaptive GK15 integral of f over the finite interval [a, b].
+
+    ``f`` returns a float, or a 1-D ndarray of entries that share one set of
+    panels. Each panel keeps its error per entry; the panel with the largest
+    entry error is bisected next, until every entry's summed error is at
+    most ``tol``. The value and error estimate of the result are then
+    ndarrays, and ``evaluations`` counts calls of ``f``.
+    """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     edges = sorted({a, b, *(p for p in split_points if a < p < b)})
-    panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, val)
+    # (-largest entry error, lo, hi, value, error); lo is unique, so the
+    # heap never compares the entries themselves
+    panels: list[tuple[float, float, float, Entries, Entries]] = []
     evals = 0
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _gk15(f, lo, hi)
         evals += 15
-        heapq.heappush(panels, (-err, lo, hi, val))
+        heapq.heappush(panels, (-_largest(err), lo, hi, val, err))
+    vector = isinstance(panels[0][3], np.ndarray)
     while True:
-        total_err = sum(-p[0] for p in panels)
-        if total_err <= tol:
+        total_err = sum(p[4] for p in panels)
+        if (total_err <= tol).all() if vector else total_err <= tol:
             break
         if evals + 30 > max_evals:
-            value = math.fsum(p[3] for p in sorted(panels, key=lambda p: p[1]))
+            value = _fsum([p[3] for p in sorted(panels, key=lambda p: p[1])])
             raise NonConvergence(
-                f"quadrature budget exhausted: error {total_err:.3e} > tol {tol:.3e}",
+                f"quadrature budget exhausted: error {_largest(total_err):.3e} > tol {tol:.3e}",
                 IntegralResult(value, total_err, evals, False),
             )
-        neg_err, lo, hi, val = heapq.heappop(panels)
+        _, lo, hi, val, err = heapq.heappop(panels)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # panel at machine width: freeze it and stop refining there
-            heapq.heappush(panels, (0.0, lo, hi, val))
+            heapq.heappush(panels, (0.0, lo, hi, val, np.zeros_like(err) if vector else 0.0))
             continue
         v1, e1 = _gk15(f, lo, mid)
         v2, e2 = _gk15(f, mid, hi)
         evals += 30
-        heapq.heappush(panels, (-e1, lo, mid, v1))
-        heapq.heappush(panels, (-e2, mid, hi, v2))
+        heapq.heappush(panels, (-_largest(e1), lo, mid, v1, e1))
+        heapq.heappush(panels, (-_largest(e2), mid, hi, v2, e2))
     # deterministic summation order: by panel position
     ordered = sorted(panels, key=lambda p: p[1])
-    value = math.fsum(p[3] for p in ordered)
-    total_err = math.fsum(-p[0] for p in ordered)
+    value = _fsum([p[3] for p in ordered])
+    total_err = _fsum([p[4] for p in ordered])
     return IntegralResult(value, total_err, evals, True)
 
 
+def _largest(err: Entries) -> float:
+    return float(err.max()) if isinstance(err, np.ndarray) else err
+
+
+def _fsum(terms: list[Entries]) -> Entries:
+    # correctly rounded sum, entry by entry for ndarray terms
+    if isinstance(terms[0], np.ndarray):
+        return np.array([math.fsum(column) for column in zip(*terms)])
+    return math.fsum(terms)
+
+
 def integrate_semi_infinite(
-    f: Callable[[float], float],
+    f: Callable[[float], Entries],
     tol: float = DEFAULT_TOL,
     split_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
 ) -> IntegralResult:
-    """Adaptive integral of f over (0, inf) via the map x = t/(1-t)."""
+    """Adaptive integral of f over (0, inf) via the map x = t/(1-t).
 
-    def g(t: float) -> float:
+    As in :func:`integrate_interval`, ``f`` may return a 1-D ndarray of
+    entries integrated on shared panels, each to absolute error ``tol``.
+    """
+
+    def g(t: float) -> Entries:
         u = 1.0 - t
         if u <= 5e-324:
             return 0.0

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .spectral import (
     gamma_plus,
     gamma_plus_derivative,
 )
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 __all__ = [
     "ThermoReport",
@@ -93,11 +96,6 @@ class DrudeParams:
     gamma: float
     regime: str  # "underdamped" | "overdamped"
     w1: float
-
-
-def _cubic_positive_roots(b: float, c: float, d: float) -> np.ndarray:
-    # roots of s^3 + b s^2 + c s + d
-    return np.roots([1.0, b, c, d])
 
 
 def drude_params_from_physical(
@@ -252,32 +250,50 @@ def k_drude_lambda(
 
 
 def k_exponential(
-    omega_0: float, omega_e: float, gamma_o: float,
+    omega_0: float, omega_e: ArrayLike, gamma_o: ArrayLike,
     hbar: float = 1.0, tol: float = DEFAULT_TOL,
-) -> float:
+) -> float | np.ndarray:
     """Second-law deficit for the exponentially cut-off model.
 
     Dimensionless variable lam = w/omega_e; the scaled exponential integrals
-    keep the integrand finite at arbitrarily large lam.
-    """
-    we2 = omega_e * omega_e
+    keep the integrand finite at arbitrarily large lam, and ``tol`` bounds
+    the estimated absolute error of the integral over lam.
 
-    def integrand(lam: float) -> float:
+    Scalar ``omega_e`` and ``gamma_o`` give a float. Array-like ones
+    broadcast against each other into one integral whose entries share their
+    panels: the split points are the union over the entries, and the
+    exponential integrals are evaluated once per node for all of them. Each
+    entry keeps the bound ``tol``; the result is an ndarray of the broadcast
+    shape.
+    """
+    scalar = isinstance(omega_e, (int, float)) and isinstance(gamma_o, (int, float))
+    if not scalar:
+        shape = np.broadcast_shapes(np.shape(omega_e), np.shape(gamma_o))
+        omega_e, gamma_o = (
+            np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
+            for a in (omega_e, gamma_o))
+    we2 = omega_e * omega_e
+    w0sq = omega_0 ** 2
+    damp = gamma_o * omega_e / math.pi
+
+    def integrand(lam: float) -> float | np.ndarray:
+        # per-node scalars first, so that entry arrays take five operations
         e1s = specfun.exp_e1(lam)
         eis = specfun.exp_neg_ei(lam)
-        edn = math.exp(-lam)
-        f1 = lam * lam * complex(e1s - eis, math.pi * edn)
-        f2 = complex(
-            we2 * lam * lam - omega_0 ** 2
-            - gamma_o * omega_e / math.pi * lam * (e1s + eis),
-            omega_e * gamma_o * lam * edn,
-        )
+        pe = math.pi * math.exp(-lam)
+        lam2 = lam * lam
+        f1 = lam2 * complex(e1s - eis, pe)
+        f2 = we2 * lam2 - w0sq + damp * (lam * complex(-(e1s + eis), pe))
         return (f1 / f2).imag
 
-    res = integrate_semi_infinite(
-        integrand, tol=tol, split_points=[omega_0 / omega_e, 1.0, omega_0 / omega_e + 1.0]
-    )
-    return hbar * gamma_o * we2 / (2.0 * math.pi ** 2) * res.value
+    r0 = omega_0 / omega_e
+    if scalar:
+        splits = [r0, 1.0, r0 + 1.0]
+    else:
+        splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
+    res = integrate_semi_infinite(integrand, tol=tol, split_points=splits)
+    k = hbar * gamma_o * we2 / (2.0 * math.pi ** 2) * res.value
+    return float(k) if scalar else k.reshape(shape)
 
 
 def k_extended_drude1(
@@ -573,8 +589,8 @@ def limit_checks(hbar: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
             "omega_d": omega_d, "K": k, "limit": limit,
             "residual": abs(k - limit), "expansion": expansion,
         })
-    exp_col = []
-    for we in (0.5, 1.0, 5.0, 10.0, 50.0, 80.0):
-        exp_col.append({"omega_e": we, "K": k_exponential(1.0, we, 1.0, hbar, tol)})
+    exp_we = (0.5, 1.0, 5.0, 10.0, 50.0, 80.0)
+    exp_k = k_exponential(1.0, exp_we, 1.0, hbar, tol)
+    exp_col = [{"omega_e": we, "K": float(k)} for we, k in zip(exp_we, exp_k)]
     exp_limit = hbar * 1.0 / (2.0 * math.pi)
     return {"drude": drude, "exponential": exp_col, "exponential_limit": exp_limit}

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,14 +52,34 @@ class TestSemiInfinite:
         assert res.converged
         assert res.abs_error_estimate <= 1e-9
         assert abs(res.value - 1.0) <= 1e-9
+        assert res.evaluations == 135  # a float integrand keeps its panel sequence
+
+    def test_shared_panels_per_entry_bound(self):
+        fs = (
+            lambda x: math.exp(-x),
+            lambda x: x * math.exp(-x),
+            lambda x: 1.0 / (1.0 + x * x),
+        )
+        tol = 1e-9
+        res = integrate_semi_infinite(
+            lambda x: np.array([f(x) for f in fs]), tol=tol, split_points=[1.0]
+        )
+        assert res.converged
+        assert res.value.shape == (3,)
+        assert np.all(res.abs_error_estimate <= tol)
+        for f, value in zip(fs, res.value):
+            alone = integrate_semi_infinite(f, tol=tol, split_points=[1.0])
+            assert abs(value - alone.value) <= tol
 
     def test_nonconvergence_carries_partial(self):
         f = lambda x: math.sin(x * x) / (1.0 + x)
-        with pytest.raises(NonConvergence) as exc:
-            integrate_semi_infinite(f, tol=1e-14, max_evals=600)
-        partial = exc.value.partial
-        assert not partial.converged
-        assert partial.evaluations <= 600
+        entries = lambda x: np.array([f(x), math.exp(-x)])
+        for integrand in (f, entries):
+            with pytest.raises(NonConvergence) as exc:
+                integrate_semi_infinite(integrand, tol=1e-14, max_evals=600)
+            partial = exc.value.partial
+            assert not partial.converged
+            assert partial.evaluations <= 600
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),

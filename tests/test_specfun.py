@@ -26,6 +26,13 @@ def log_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo * math.exp(r * i / (n - 1)) for i in range(n)]
 
 
+# the series, Chebyshev and asymptotic pieces meet at 1, 2, 4, ..., 64
+PIECE_EDGES = [
+    y for b in (2.0 ** k for k in range(7))
+    for y in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
+]
+
+
 class TestScaledExponentialIntegrals:
     def test_exp_e1_at_one(self):
         assert specfun.exp_e1(1.0) == pytest.approx(0.596347, abs=1e-6)
@@ -34,13 +41,13 @@ class TestScaledExponentialIntegrals:
         assert specfun.exp_neg_ei(1.0) == pytest.approx(0.697175, abs=1e-6)
 
     def test_exp_e1_oracle_sweep(self):
-        for x in log_grid(1e-3, 700.0, 160):
+        for x in log_grid(1e-3, 700.0, 160) + PIECE_EDGES:
             assert specfun.exp_e1(x) == pytest.approx(
                 oracle_exp_e1(x), rel=1e-10
             ), f"x={x}"
 
     def test_exp_neg_ei_oracle_sweep(self):
-        for x in log_grid(1e-3, 700.0, 160):
+        for x in log_grid(1e-3, 700.0, 160) + PIECE_EDGES:
             assert specfun.exp_neg_ei(x) == pytest.approx(
                 oracle_exp_neg_ei(x), rel=1e-10
             ), f"x={x}"

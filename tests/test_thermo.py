@@ -3,6 +3,7 @@ integrands, generic quadrature, and the cross-checks tying them together."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,7 +143,18 @@ class TestExponential:
         for we in goldens.TABLE1_OMEGA_E:
             for g in goldens.TABLE1_GAMMA:
                 k = thermo.k_exponential(1.0, we, g)
+                assert type(k) is float
                 assert 0.0 < k < g / (2.0 * math.pi)
+
+    def test_array_matches_scalar_calls(self):
+        # one shared-panel integral over the Table 1 grid
+        got = thermo.k_exponential(
+            1.0, np.array(goldens.TABLE1_OMEGA_E)[:, None], goldens.TABLE1_GAMMA
+        )
+        assert got.shape == (len(goldens.TABLE1_OMEGA_E), len(goldens.TABLE1_GAMMA))
+        for i, we in enumerate(goldens.TABLE1_OMEGA_E):
+            for j, g in enumerate(goldens.TABLE1_GAMMA):
+                assert abs(got[i, j] - thermo.k_exponential(1.0, we, g)) < 1e-9
 
     def test_matches_generic_quadrature(self):
         model = Exponential(1.0, 1.0)
