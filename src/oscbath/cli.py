@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import discrete, thermo
-from .quadrature import DivergenceClass
-from .spectral import InvalidModel, StatusTag, parse_model
+from .quadrature import DivergenceClass, Inconclusive, NonConvergence
+from .spectral import parse_model
 
 FIG1_RATIOS = (2.0, 5.0, 10.0)
 TABLE1_OMEGA_E = (0.5, 1.0, 5.0, 10.0, 50.0, 80.0)
@@ -54,14 +54,11 @@ def _emit(rows: list[list[str]], header: list[str], fmt: str, out_path: str | No
 def cmd_report(args: argparse.Namespace) -> int:
     try:
         model = parse_model(args.model)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         rep = thermo.thermo_report(
             model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol
         )
-    except InvalidModel as exc:
+    except (ValueError, NonConvergence, Inconclusive) as exc:
+        # ValueError covers InvalidModel, UnsupportedKernel and bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -93,7 +90,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def table1_grid(hbar: float, tol: float) -> list[list[float]]:
     """K_e/E_g for the exponential-cutoff model, omega_0 = 1, E_g = hbar/2.
 
-    One integral whose 24 entries share their panels, each to ``tol``.
+    One integral whose 24 entries share their panels; ``tol`` bounds the
+    absolute error of each entry's K (before the division by E_g).
     """
     e_g = 0.5 * hbar
     k = thermo.k_exponential(

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import specfun
 from .quadrature import principal_value_integral
@@ -31,6 +31,7 @@ __all__ = [
     "InvalidModel",
     "UnsupportedKernel",
     "classify_model",
+    "boundary_kernel",
     "j_omega",
     "gamma_t",
     "gamma_plus",
@@ -204,38 +205,109 @@ def gamma_t(model: SpectralModel, t: float) -> float:
     )
 
 
+def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, complex]]:
+    """The model's damping kernel at the real axis, resolved once.
+
+    Checks validity and dispatches on the family once, and returns a closure
+    ``w -> (gamma_plus(w), gamma_plus'(w))`` that computes both values from
+    shared terms; the closure does not check ``w > 0``. The real part of
+    gamma_plus equals J(w)/(M w); the imaginary (reactive) part is the
+    principal-value transform of J. For the delta(0)-carrying members
+    (extended Ohmic p = 2, even extended Drude n >= 4) the closure returns
+    the finite part, the delta(0) weight dropped: enough to classify the
+    divergence, not to integrate it. Even extended Drude n >= 6 reuses the
+    n = 4 finite part.
+
+    Raises InvalidModel for a distributional kernel, and UnsupportedKernel
+    for a divergent member without a finite part (extended Ohmic p >= 4).
+    """
+    _reject_invalid(model)
+    g = model.gamma_o
+    if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
+        values = (complex(g, 0.0), 0j)
+        return lambda w: values
+    if isinstance(model, ExtendedOhmic) and model.p == 2:
+        return lambda w: (complex(w * w / g, 0.0), complex(2.0 * w / g, 0.0))
+    if isinstance(model, ExtendedOhmic):
+        raise UnsupportedKernel(
+            f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
+        )
+    if isinstance(model, Exponential):
+        we = model.omega_e
+        gpi = g / math.pi
+
+        def exponential(w: float) -> tuple[complex, complex]:
+            lam = w / we
+            e1s = specfun.exp_e1(lam)
+            eis = specfun.exp_neg_ei(lam)
+            re = g * math.exp(-lam)
+            # d/dlam of (e^x E1 + e^-x Ei) = e^x E1 - e^-x Ei
+            return complex(re, gpi * (e1s + eis)), complex(-re, gpi * (e1s - eis)) / we
+
+        return exponential
+    wd = model.omega_d
+    n = model.n if isinstance(model, ExtendedDrude) else 0
+    gwd = g * wd
+    if n == 0:
+
+        def drude(w: float) -> tuple[complex, complex]:
+            c = complex(wd, -w)
+            gd = gwd / c
+            return gd, 1j * gd / c
+
+        return drude
+    if n == 1:
+        wd2 = wd * wd
+        c_log = 2.0 / math.pi
+
+        def drude1(w: float) -> tuple[complex, complex]:
+            denom = w * w + wd2
+            u = w / denom
+            du = (wd2 - w * w) / denom ** 2
+            lg = math.log(w / wd)
+            return (gwd * complex(u, c_log * u * lg),
+                    gwd * complex(du, c_log * (du * lg + u / w)))
+
+        return drude1
+    if n == 2:
+
+        def drude2(w: float) -> tuple[complex, complex]:
+            # Ohmic minus Drude
+            c = complex(wd, -w)
+            gd = gwd / c
+            return g - gd, -1j * gd / c
+
+        return drude2
+    g_wd2 = g / (wd * wd)
+
+    def drude4_finite_part(w: float) -> tuple[complex, complex]:
+        # Drude minus Ohmic plus g w^2 / wd^2
+        c = complex(wd, -w)
+        gd = gwd / c
+        return gd - g + g_wd2 * w * w, 1j * gd / c + 2.0 * g_wd2 * w
+
+    return drude4_finite_part
+
+
+def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:
+    """(gamma_plus, gamma_plus') at one frequency, for members with no
+    delta(0) weight."""
+    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
+        raise UnsupportedKernel(
+            f"{type(model).__name__}: gamma_plus carries a delta(0) weight; "
+            "only divergence classification is defined"
+        )
+    kernel = boundary_kernel(model)
+    return kernel(_require_positive("omega", omega))
+
+
 def gamma_plus(model: SpectralModel, M: float, omega: float) -> complex:
     """Boundary value of the frequency-domain damping kernel, closed forms.
 
-    The real (dissipative) part equals J(w)/(M w) identically; the imaginary
-    (reactive) part is the principal-value transform of J.
+    One value of ``boundary_kernel(model)``; raises UnsupportedKernel for
+    the delta(0)-carrying members.
     """
-    _reject_invalid(model)
-    w = _require_positive("omega", omega)
-    g = model.gamma_o
-    if isinstance(model, Ohmic):
-        return complex(g, 0.0)
-    if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
-        wd = model.omega_d
-        return g * wd / complex(wd, -w)
-    if isinstance(model, Exponential):
-        lam = w / model.omega_e
-        re = g * math.exp(-lam)
-        im = (g / math.pi) * (specfun.exp_e1(lam) + specfun.exp_neg_ei(lam))
-        return complex(re, im)
-    if isinstance(model, ExtendedDrude) and model.n == 1:
-        wd = model.omega_d
-        base = g * wd * w / (w * w + wd * wd)
-        return complex(base, (2.0 / math.pi) * base * math.log(w / wd))
-    if isinstance(model, ExtendedDrude) and model.n == 2:
-        wd = model.omega_d
-        return complex(g, 0.0) - g * wd / complex(wd, -w)
-    if isinstance(model, ExtendedOhmic) and model.p == 0:
-        return complex(g, 0.0)
-    raise UnsupportedKernel(
-        f"{type(model).__name__}: gamma_plus carries a delta(0) weight; "
-        "only divergence classification is defined"
-    )
+    return _kernel_at(model, omega)[0]
 
 
 def gamma_plus_generic(
@@ -264,53 +336,22 @@ def gamma_plus_generic(
 
 
 def gamma_plus_derivative(model: SpectralModel, M: float, omega: float) -> complex:
-    """d gamma_plus / d omega, analytic for the closed-form families."""
-    _reject_invalid(model)
-    w = _require_positive("omega", omega)
-    g = model.gamma_o
-    if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
-        return 0.0 + 0.0j
-    if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
-        wd = model.omega_d
-        return 1j * g * wd / complex(wd, -w) ** 2
-    if isinstance(model, Exponential):
-        we = model.omega_e
-        lam = w / we
-        d_re = -g * math.exp(-lam)
-        # d/dlam of (e^x E1 + e^-x Ei) = e^x E1 - e^-x Ei
-        d_im = (g / math.pi) * (specfun.exp_e1(lam) - specfun.exp_neg_ei(lam))
-        return complex(d_re, d_im) / we
-    if isinstance(model, ExtendedDrude) and model.n == 1:
-        wd = model.omega_d
-        denom = w * w + wd * wd
-        u = w / denom
-        du = (wd * wd - w * w) / denom ** 2
-        lg = math.log(w / wd)
-        return g * wd * complex(du, (2.0 / math.pi) * (du * lg + u / w))
-    if isinstance(model, ExtendedDrude) and model.n == 2:
-        wd = model.omega_d
-        return -1j * g * wd / complex(wd, -w) ** 2
-    raise UnsupportedKernel(
-        f"{type(model).__name__}: no finite frequency-domain derivative"
-    )
+    """d gamma_plus / d omega: one value of ``boundary_kernel(model)``."""
+    return _kernel_at(model, omega)[1]
 
 
 def g_plus(model: SpectralModel, M: float, omega_0: float, omega: float) -> complex:
     """G_+(w) = w^2 - w0^2 + i w gamma_plus(w); Im G_+ = J(w)/M >= 0."""
-    w = _require_positive("omega", omega)
-    return complex(w * w - omega_0 * omega_0, 0.0) + 1j * w * gamma_plus(model, M, w)
+    gp, _ = _kernel_at(model, omega)
+    return complex(omega * omega - omega_0 * omega_0, 0.0) + 1j * omega * gp
 
 
 def g_plus_derivative(
     model: SpectralModel, M: float, omega_0: float, omega: float
 ) -> complex:
     """dG_+/dw = 2w + i gamma_plus + i w gamma_plus'."""
-    w = _require_positive("omega", omega)
-    return (
-        2.0 * w
-        + 1j * gamma_plus(model, M, w)
-        + 1j * w * gamma_plus_derivative(model, M, w)
-    )
+    gp, dgp = _kernel_at(model, omega)
+    return 2.0 * omega + 1j * gp + 1j * omega * dgp
 
 
 _MODEL_KEYS = {

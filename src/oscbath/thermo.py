@@ -37,12 +37,12 @@ from .spectral import (
     Ohmic,
     SpectralModel,
     StatusTag,
+    _require_positive,
+    boundary_kernel,
     classify_model,
-    g_plus,
-    g_plus_derivative,
-    gamma_plus,
-    gamma_plus_derivative,
 )
+# unused here, kept as module attributes: perfbench/tracer.py patches them
+from .spectral import g_plus, gamma_plus_derivative  # noqa: F401
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -197,6 +197,10 @@ def es_drude_closed(
 ) -> float:
     """Exact Drude excess-bearing system energy E_s(0)."""
     params = drude_params_from_physical(omega_0, omega_d, gamma_o)
+    return _es_drude_params(params, omega_0, hbar)
+
+
+def _es_drude_params(params: DrudeParams, omega_0: float, hbar: float = 1.0) -> float:
     i0, i2 = _drude_im_chi_integrals(params)
     return hbar / (2.0 * math.pi) * (omega_0 ** 2 * i0 + i2)
 
@@ -222,8 +226,8 @@ def k_drude_closed(
     omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
 ) -> float:
     """Second-law deficit for the Drude model, fully closed form."""
-    return (f_drude_closed(omega_0, omega_d, gamma_o, hbar)
-            - es_drude_closed(omega_0, omega_d, gamma_o, hbar))
+    params = drude_params_from_physical(omega_0, omega_d, gamma_o)
+    return _f_drude_params(params, hbar) - _es_drude_params(params, omega_0, hbar)
 
 
 def k_drude_lambda(
@@ -256,8 +260,9 @@ def k_exponential(
     """Second-law deficit for the exponentially cut-off model.
 
     Dimensionless variable lam = w/omega_e; the scaled exponential integrals
-    keep the integrand finite at arbitrarily large lam, and ``tol`` bounds
-    the estimated absolute error of the integral over lam.
+    keep the integrand finite at arbitrarily large lam. The integrand carries
+    the prefactor hbar gamma_o omega_e^2 / (2 pi^2), so the integral is K
+    and ``tol`` bounds the estimated absolute error of K itself.
 
     Scalar ``omega_e`` and ``gamma_o`` give a float. Array-like ones
     broadcast against each other into one integral whose entries share their
@@ -275,6 +280,7 @@ def k_exponential(
     we2 = omega_e * omega_e
     w0sq = omega_0 ** 2
     damp = gamma_o * omega_e / math.pi
+    pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
 
     def integrand(lam: float) -> float | np.ndarray:
         # per-node scalars first, so that entry arrays take five operations
@@ -284,7 +290,7 @@ def k_exponential(
         lam2 = lam * lam
         f1 = lam2 * complex(e1s - eis, pe)
         f2 = we2 * lam2 - w0sq + damp * (lam * complex(-(e1s + eis), pe))
-        return (f1 / f2).imag
+        return pref * (f1 / f2).imag
 
     r0 = omega_0 / omega_e
     if scalar:
@@ -292,7 +298,7 @@ def k_exponential(
     else:
         splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
     res = integrate_semi_infinite(integrand, tol=tol, split_points=splits)
-    k = hbar * gamma_o * we2 / (2.0 * math.pi ** 2) * res.value
+    k = res.value
     return float(k) if scalar else k.reshape(shape)
 
 
@@ -366,20 +372,62 @@ def k_extended_drude2_closed(
 # Generic quadrature paths (fluctuation-dissipation / log-derivative / Eq-31)
 
 
-def _split_points(model: SpectralModel, omega_0: float) -> list[float]:
-    splits = [omega_0, 2.0 * omega_0]
+def _cutoffs(model: SpectralModel) -> list[float]:
+    """The model's cutoff frequency, if it has one."""
     if isinstance(model, (Drude, ExtendedDrude)):
-        splits.append(model.omega_d)
-    elif isinstance(model, Exponential):
-        splits.append(model.omega_e)
-    return splits
+        return [model.omega_d]
+    if isinstance(model, Exponential):
+        return [model.omega_e]
+    return []
 
 
-def _check_valid(model: SpectralModel) -> ModelStatus:
-    status = classify_model(model)
-    if status.tag is StatusTag.INVALID_KERNEL:
-        raise InvalidModel(str(status))
-    return status
+def _split_points(model: SpectralModel, omega_0: float) -> list[float]:
+    return [omega_0, 2.0 * omega_0, *_cutoffs(model)]
+
+
+def _tail_window(model: SpectralModel, omega_0: float) -> tuple[float, float]:
+    return 30.0 * max([omega_0, *_cutoffs(model)]), 1e8
+
+
+def _integrands(model: SpectralModel, omega_0: float):
+    """The E_s(0), F(0) and K integrands on one ``boundary_kernel`` closure.
+
+    With G = w^2 - w0^2 + i w gamma_plus and G' = 2w + i gamma_plus
+    + i w gamma_plus': E_s from (w0^2 + w^2) Im G / |G|^2, F from
+    w Im(-G'/G), K from Im(-i w^2 gamma_plus' / G). For the delta(0)-carrying
+    members the closure is the finite part, on which only the tail classes
+    are meaningful.
+    """
+    kernel = boundary_kernel(model)
+    w0sq = omega_0 * omega_0
+
+    def es(w: float) -> float:
+        gp, _ = kernel(w)
+        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
+        return (w0sq + w * w) * G.imag / abs(G) ** 2
+
+    def f(w: float) -> float:
+        gp, dgp = kernel(w)
+        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
+        dG = 2.0 * w + 1j * gp + 1j * w * dgp
+        return w * (-(dG / G)).imag
+
+    def k(w: float) -> float:
+        gp, dgp = kernel(w)
+        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
+        return (w * w * (-1j * dgp) / G).imag
+
+    return es, f, k
+
+
+def _energy(
+    model: SpectralModel, integrand, omega_0: float, hbar: float, tol: float
+) -> EnergyOrDivergent:
+    tail = classify_tail(integrand, window=_tail_window(model, omega_0))
+    if tail.tag is not DivergenceTag.CONVERGENT:
+        return tail
+    res = integrate_semi_infinite(integrand, tol=tol, split_points=_split_points(model, omega_0))
+    return hbar / (2.0 * math.pi) * res.value
 
 
 def system_energy_0_cont(
@@ -388,17 +436,8 @@ def system_energy_0_cont(
 ) -> EnergyOrDivergent:
     """E_s(0) by the fluctuation-dissipation integral over Im of the
     susceptibility; divergent families return their divergence class."""
-    _check_valid(model)
-
-    def integrand(w: float) -> float:
-        gp = g_plus(model, M, omega_0, w)
-        return (omega_0 ** 2 + w * w) * gp.imag / abs(gp) ** 2
-
-    tail = classify_tail(integrand, window=(30.0 * _scale(model, omega_0), 1e8))
-    if tail.tag is not DivergenceTag.CONVERGENT:
-        return tail
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=_split_points(model, omega_0))
-    return hbar / (2.0 * math.pi) * res.value
+    es, _, _ = _integrands(model, omega_0)
+    return _energy(model, es, omega_0, hbar, tol)
 
 
 def free_energy_0_cont(
@@ -406,96 +445,8 @@ def free_energy_0_cont(
     hbar: float = 1.0, tol: float = DEFAULT_TOL,
 ) -> EnergyOrDivergent:
     """F(0) by the logarithmic-derivative integrand w * Im(-G'/G)."""
-    _check_valid(model)
-
-    def integrand(w: float) -> float:
-        gp = g_plus(model, M, omega_0, w)
-        dgp = g_plus_derivative(model, M, omega_0, w)
-        return w * (-(dgp / gp)).imag
-
-    tail = classify_tail(integrand, window=(30.0 * _scale(model, omega_0), 1e8))
-    if tail.tag is not DivergenceTag.CONVERGENT:
-        return tail
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=_split_points(model, omega_0))
-    return hbar / (2.0 * math.pi) * res.value
-
-
-def _scale(model: SpectralModel, omega_0: float) -> float:
-    s = omega_0
-    if isinstance(model, (Drude, ExtendedDrude)):
-        s = max(s, model.omega_d)
-    elif isinstance(model, Exponential):
-        s = max(s, model.omega_e)
-    return s
-
-
-def _k_divergent_integrand(model: SpectralModel, M: float, omega_0: float):
-    """Finite part of the Eq-31-style integrand for the delta(0)-carrying
-    families; the symbolic delta weight is dropped, which only strengthens
-    the (negative, logarithmic) divergence it accompanies."""
-    g = model.gamma_o
-    if isinstance(model, ExtendedOhmic) and model.p == 2:
-        beta = omega_0 ** 2 * g
-
-        def integrand(w: float) -> float:
-            num = 2.0 * w * w * complex(-w, 0.0)
-            den = complex(w ** 3, -g * w * w + beta)
-            return (num / den).imag
-
-        return integrand
-    if isinstance(model, ExtendedDrude) and model.n >= 4 and model.n % 2 == 0:
-        wd = model.omega_d
-
-        def integrand(w: float) -> float:
-            # finite part of gamma_plus and its derivative for (d,4)
-            gd = g * wd / complex(wd, -w)
-            dgd = 1j * g * wd / complex(wd, -w) ** 2
-            gp_val = gd - g + g * w * w / wd ** 2
-            dgp_val = dgd + 2.0 * g * w / wd ** 2
-            G = complex(w * w - omega_0 ** 2, 0.0) + 1j * w * gp_val
-            return (w * w * (-1j) * dgp_val / G).imag
-
-        return integrand
-    raise ValueError("no divergent-K integrand for this model")
-
-
-def _divergent_energy_classes(
-    model: SpectralModel, M: float, omega_0: float
-) -> tuple[DivergenceClass, DivergenceClass]:
-    """Divergence classes of E_s(0) and F(0) for the delta(0)-carrying
-    families, from the finite part of the damping kernel."""
-    g = model.gamma_o
-    if isinstance(model, ExtendedOhmic) and model.p == 2:
-
-        def kernel(w: float) -> tuple[complex, complex]:
-            return complex(w * w / g, 0.0), complex(2.0 * w / g, 0.0)
-
-    elif isinstance(model, ExtendedDrude) and model.n >= 4 and model.n % 2 == 0:
-        wd = model.omega_d
-
-        def kernel(w: float) -> tuple[complex, complex]:
-            gd = g * wd / complex(wd, -w)
-            dgd = 1j * g * wd / complex(wd, -w) ** 2
-            return gd - g + g * w * w / wd ** 2, dgd + 2.0 * g * w / wd ** 2
-
-    else:
-        raise ValueError("no divergent energy classes for this model")
-
-    def es_integrand(w: float) -> float:
-        gp_val, _ = kernel(w)
-        G = complex(w * w - omega_0 ** 2, 0.0) + 1j * w * gp_val
-        return (omega_0 ** 2 + w * w) * G.imag / abs(G) ** 2
-
-    def f_integrand(w: float) -> float:
-        gp_val, dgp_val = kernel(w)
-        G = complex(w * w - omega_0 ** 2, 0.0) + 1j * w * gp_val
-        dG = 2.0 * w + 1j * gp_val + 1j * w * dgp_val
-        return w * (-(dG / G)).imag
-
-    window = (30.0 * _scale(model, omega_0), 1e8)
-    return classify_tail(es_integrand, window=window), classify_tail(
-        f_integrand, window=window
-    )
+    _, f, _ = _integrands(model, omega_0)
+    return _energy(model, f, omega_0, hbar, tol)
 
 
 def k_cont(
@@ -505,22 +456,15 @@ def k_cont(
     """Second-law deficit by the generic frequency integral.
 
     Ohmic returns exactly zero (the integrand vanishes pointwise); the
-    delta-weight families return a negative logarithmic divergence class.
+    delta-weight families return the divergence class of the integrand on
+    the finite part of their kernel, a negative logarithmic divergence.
     """
-    status = _check_valid(model)
     if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
         return 0.0
-    if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        integrand = _k_divergent_integrand(model, M, omega_0)
-        tail = classify_tail(integrand, window=(30.0 * _scale(model, omega_0), 1e8))
-        return tail
-
-    def integrand(w: float) -> float:
-        rp = -1j * gamma_plus_derivative(model, M, w)
-        gp = g_plus(model, M, omega_0, w)
-        return (w * w * rp / gp).imag
-
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=_split_points(model, omega_0))
+    _, _, k = _integrands(model, omega_0)
+    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
+        return classify_tail(k, window=_tail_window(model, omega_0))
+    res = integrate_semi_infinite(k, tol=tol, split_points=_split_points(model, omega_0))
     return hbar / (2.0 * math.pi) * res.value
 
 
@@ -528,38 +472,41 @@ def thermo_report(
     model: SpectralModel, M: float, omega_0: float,
     hbar: float = 1.0, tol: float = DEFAULT_TOL,
 ) -> ThermoReport:
-    """Full report: E_s(0), F(0), K, with the best available method per model."""
-    status = _check_valid(model)
+    """Full report: E_s(0), F(0), K, with the best available method per model.
+
+    Raises InvalidModel for a distributional kernel and ValueError when
+    ``M`` or ``omega_0`` is not positive and finite.
+    """
+    _require_positive("M", M)
+    _require_positive("omega_0", omega_0)
+    status = classify_model(model)
+    if status.tag is StatusTag.INVALID_KERNEL:
+        raise InvalidModel(str(status))
     err = 0.0
     if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        es, f0 = _divergent_energy_classes(model, M, omega_0)
-        k = k_cont(model, M, omega_0, hbar, tol)
+        window = _tail_window(model, omega_0)
+        es, f0, k = (classify_tail(f, window=window) for f in _integrands(model, omega_0))
         return ThermoReport(
             E_s0=es, F0=f0, K=k, method="divergence-classification",
             error_estimate=0.0, model_status=status, K_normalized=None,
         )
     if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
-        es = es_drude_closed(omega_0, model.omega_d, model.gamma_o, hbar)
-        f0 = f_drude_closed(omega_0, model.omega_d, model.gamma_o, hbar)
+        params = drude_params_from_physical(omega_0, model.omega_d, model.gamma_o)
+        es = _es_drude_params(params, omega_0, hbar)
+        f0 = _f_drude_params(params, hbar)
         k = f0 - es
         method = "closed-form"
-    elif isinstance(model, Exponential):
-        es = system_energy_0_cont(model, M, omega_0, hbar, tol)
-        f0 = free_energy_0_cont(model, M, omega_0, hbar, tol)
-        k = k_exponential(omega_0, model.omega_e, model.gamma_o, hbar, tol)
-        method = "special-integrand"
-        err = tol
-    elif isinstance(model, ExtendedDrude) and model.n == 1:
-        es = system_energy_0_cont(model, M, omega_0, hbar, tol)
-        f0 = free_energy_0_cont(model, M, omega_0, hbar, tol)
-        k = k_extended_drude1(omega_0, model.omega_d, model.gamma_o, hbar, tol)
-        method = "special-integrand"
-        err = tol
     else:
         es = system_energy_0_cont(model, M, omega_0, hbar, tol)
         f0 = free_energy_0_cont(model, M, omega_0, hbar, tol)
-        k = k_cont(model, M, omega_0, hbar, tol)
-        method = "generic-quadrature"
+        method = "special-integrand"
+        if isinstance(model, Exponential):
+            k = k_exponential(omega_0, model.omega_e, model.gamma_o, hbar, tol)
+        elif isinstance(model, ExtendedDrude) and model.n == 1:
+            k = k_extended_drude1(omega_0, model.omega_d, model.gamma_o, hbar, tol)
+        else:
+            k = k_cont(model, M, omega_0, hbar, tol)
+            method = "generic-quadrature"
         err = tol
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None
     return ThermoReport(

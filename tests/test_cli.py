@@ -48,6 +48,15 @@ class TestReport:
         assert rc == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("model", ["drude g=1 wd=5", "exp g=1 we=5"])
+    def test_nonpositive_omega0_exits_1(self, model, capsys):
+        rc = main(["report", "--model", model, "--omega0", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "omega_0" in captured.err
+
     def test_parse_error_reports_position(self, capsys):
         rc = main(["report", "--model", "drude g=abc wd=1", "--omega0", "1"])
         err = capsys.readouterr().err

@@ -18,6 +18,7 @@ from oscbath.spectral import (
     Ohmic,
     StatusTag,
     UnsupportedKernel,
+    boundary_kernel,
     classify_model,
     g_plus,
     g_plus_derivative,
@@ -150,6 +151,40 @@ class TestGammaPlus:
                 ana = gamma_plus_derivative(m, 1.0, w)
                 assert ana.real == pytest.approx(num.real, abs=1e-6)
                 assert ana.imag == pytest.approx(num.imag, abs=1e-6)
+
+
+class TestBoundaryKernel:
+    def test_finite_part_of_divergent_members(self):
+        # the delta(0) weight is dropped: the real part is still J/(M w),
+        # and gamma_plus' is the derivative of gamma_plus
+        h = 1e-6
+        for m in (ExtendedOhmic(1.3, 2), ExtendedDrude(1.3, 2.0, 4)):
+            kernel = boundary_kernel(m)
+            for w in (0.1, 0.5, 1.5, 6.0):
+                gp, dgp = kernel(w)
+                assert gp.real == pytest.approx(j_omega(m, 1.5, w) / (1.5 * w), rel=1e-12)
+                num = (kernel(w + h)[0] - kernel(w - h)[0]) / (2 * h)
+                assert dgp.real == pytest.approx(num.real, abs=1e-6)
+                assert dgp.imag == pytest.approx(num.imag, abs=1e-6)
+
+    def test_wrappers_reject_delta_weight(self):
+        for m in (ExtendedOhmic(1.0, 2), ExtendedDrude(1.0, 2.0, 4)):
+            for fn in (gamma_plus, gamma_plus_derivative):
+                with pytest.raises(UnsupportedKernel):
+                    fn(m, 1.0, 1.0)
+            with pytest.raises(UnsupportedKernel):
+                g_plus(m, 1.0, 1.0, 1.0)
+
+    def test_errors(self):
+        with pytest.raises(InvalidModel):
+            boundary_kernel(ExtendedDrude(1.0, 1.0, 3))
+        with pytest.raises(InvalidModel):
+            gamma_plus(ExtendedOhmic(1.0, 1), 1.0, 1.0)
+        with pytest.raises(UnsupportedKernel):
+            boundary_kernel(ExtendedOhmic(1.0, 4))
+        for w in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                gamma_plus(Drude(1.0, 1.0), 1.0, w)
 
 
 class TestGPlus:

@@ -362,9 +362,15 @@ class TestThermoReport:
         assert rep.model_status.tag.value == "Valid"
 
     def test_exponential_special_path(self):
-        rep = thermo.thermo_report(Exponential(1.0, 1.0), 1.0, 1.0)
-        assert rep.method == "special-integrand"
-        assert rep.K == pytest.approx(rep.F0 - rep.E_s0, abs=1e-7)
+        for g, we, w0 in [
+            (1.0, 1.0, 1.0),
+            # large hbar gamma_o omega_e^2 / (2 pi^2): tol must bound K itself
+            (1.4004501755561856, 30.052089596973957, 3.7655161979314067),
+            (3.9949919945373233, 48.454605926337926, 4.348149204372997),
+        ]:
+            rep = thermo.thermo_report(Exponential(g, we), 1.0, w0)
+            assert rep.method == "special-integrand"
+            assert rep.K == pytest.approx(rep.F0 - rep.E_s0, abs=1e-7), (g, we, w0)
 
     def test_xdrude1_special_path(self):
         rep = thermo.thermo_report(ExtendedDrude(1.0, 1.0, 1), 1.0, 1.0)
@@ -378,6 +384,17 @@ class TestThermoReport:
         assert isinstance(rep.F0, DivergenceClass)
 
     def test_divergent_k_report(self):
-        rep = thermo.thermo_report(ExtendedOhmic(1.0, 2), 1.0, 1.0)
-        assert isinstance(rep.K, DivergenceClass)
-        assert rep.K_normalized is None
+        for model in (ExtendedOhmic(1.0, 2), ExtendedDrude(1.0, 1.0, 4),
+                      ExtendedDrude(0.7, 3.0, 6)):
+            rep = thermo.thermo_report(model, 1.0, 1.0)
+            assert rep.method == "divergence-classification"
+            assert [str(v) for v in (rep.E_s0, rep.F0, rep.K)] == [
+                "LogDivergent(+)", "LogDivergent(-)", "LogDivergent(-)"], model
+            assert rep.K_normalized is None
+
+    def test_rejects_bad_mass_and_frequency(self):
+        for model in (Drude(1.0, 5.0), Exponential(1.0, 5.0)):
+            for M, w0 in [(1.0, -1.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+                          (0.0, 1.0), (-2.0, 1.0)]:
+                with pytest.raises(ValueError, match="positive finite"):
+                    thermo.thermo_report(model, M, w0)
