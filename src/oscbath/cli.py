@@ -3,8 +3,8 @@
 Commands: ``report`` (one continuous model), ``table1`` / ``table2`` /
 ``fig1`` (the reference grids as CSV or aligned text), ``discrete`` (exact
 finite-bath report or seeded random invariant suite), and ``check`` (the
-full property suite). Exit codes: 0 success, 1 usage or input error,
-2 invariant violation.
+full property suite). Exit codes: 0 success, 1 usage or input error or an
+integral that misses its tolerance within its budget, 2 invariant violation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import discrete, thermo
-from .quadrature import DivergenceClass, Inconclusive, NonConvergence
+from .quadrature import DEFAULT_MAX_EVALS, DivergenceClass, Inconclusive, NonConvergence
 from .spectral import parse_model
 
 FIG1_RATIOS = (2.0, 5.0, 10.0)
@@ -55,10 +55,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     try:
         model = parse_model(args.model)
         rep = thermo.thermo_report(
-            model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol
+            model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol,
+            max_evals=args.max_evals,
         )
-    except (ValueError, NonConvergence, Inconclusive) as exc:
-        # ValueError covers InvalidModel, UnsupportedKernel and bad input
+    except ValueError as exc:
+        # InvalidModel, UnsupportedKernel and bad input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -87,7 +88,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def table1_grid(hbar: float, tol: float) -> list[list[float]]:
+def table1_grid(
+    hbar: float, tol: float, max_evals: int = DEFAULT_MAX_EVALS
+) -> list[list[float]]:
     """K_e/E_g for the exponential-cutoff model, omega_0 = 1, E_g = hbar/2.
 
     One integral whose 24 entries share their panels; ``tol`` bounds the
@@ -95,7 +98,8 @@ def table1_grid(hbar: float, tol: float) -> list[list[float]]:
     """
     e_g = 0.5 * hbar
     k = thermo.k_exponential(
-        1.0, np.array(TABLE1_OMEGA_E)[:, None], np.array(TABLE1_GAMMA), hbar=hbar, tol=tol
+        1.0, np.array(TABLE1_OMEGA_E)[:, None], np.array(TABLE1_GAMMA), hbar=hbar, tol=tol,
+        max_evals=max_evals,
     )
     return (k / e_g).tolist()
 
@@ -104,22 +108,30 @@ def cmd_table1(args: argparse.Namespace) -> int:
     header = ["omega_e"] + [f"g{g:g}" for g in TABLE1_GAMMA]
     rows = [
         [_fmt(we)] + [_fmt(v) for v in vals]
-        for we, vals in zip(TABLE1_OMEGA_E, table1_grid(args.hbar, args.tol))
+        for we, vals in zip(TABLE1_OMEGA_E, table1_grid(args.hbar, args.tol, args.max_evals))
     ]
     rows.append(["inf"] + [_fmt(g / math.pi) for g in TABLE1_GAMMA])
     _emit(rows, header, args.format, args.out)
     return 0
 
 
-def table2_grid(hbar: float, tol: float) -> list[tuple[float, float, float, float]]:
-    """(omega_0, omega_d, Kd_norm, Kd1_norm) with gamma_o = 1, E_g = hbar omega_0/2."""
+def table2_grid(
+    hbar: float, tol: float, max_evals: int = DEFAULT_MAX_EVALS
+) -> list[tuple[float, float, float, float]]:
+    """(omega_0, omega_d, Kd_norm, Kd1_norm) with gamma_o = 1, E_g = hbar omega_0/2.
+
+    The Kd1 column is one integral whose 16 entries share their panels.
+    """
+    kd1 = thermo.k_extended_drude1(
+        np.array(TABLE_GRID)[:, None], np.array(TABLE_GRID), 1.0, hbar=hbar, tol=tol,
+        max_evals=max_evals,
+    )
     out = []
-    for w0 in TABLE_GRID:
-        for wd in TABLE_GRID:
+    for i, w0 in enumerate(TABLE_GRID):
+        for j, wd in enumerate(TABLE_GRID):
             norm = math.pi / (1.0 * 0.5 * hbar * w0)
             kd = thermo.k_drude_closed(w0, wd, 1.0, hbar=hbar)
-            kd1 = thermo.k_extended_drude1(w0, wd, 1.0, hbar=hbar, tol=tol)
-            out.append((w0, wd, kd * norm, kd1 * norm))
+            out.append((w0, wd, kd * norm, float(kd1[i, j]) * norm))
     return out
 
 
@@ -127,7 +139,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
     header = ["omega0", "omega_d", "Kd_norm", "Kd1_norm"]
     rows = [
         [_fmt(w0), _fmt(wd), _fmt(a), _fmt(b)]
-        for w0, wd, a, b in table2_grid(args.hbar, args.tol)
+        for w0, wd, a, b in table2_grid(args.hbar, args.tol, args.max_evals)
     ]
     _emit(rows, header, args.format, args.out)
     return 0
@@ -228,12 +240,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     for w0 in TABLE_GRID:
         for wd in TABLE_GRID:
             kc = thermo.k_drude_closed(w0, wd, 1.0, hbar=args.hbar)
-            kl = thermo.k_drude_lambda(w0, wd, 1.0, hbar=args.hbar, tol=args.tol)
+            kl = thermo.k_drude_lambda(w0, wd, 1.0, hbar=args.hbar, tol=args.tol,
+                                       max_evals=args.max_evals)
             grid_err = max(grid_err, abs(kc - kl))
     _check_line(failures, "Drude closed form vs lambda integral", grid_err < 1e-6,
                 f"max |diff| = {grid_err:.2e}")
 
-    lc = thermo.limit_checks(hbar=args.hbar, tol=args.tol)
+    lc = thermo.limit_checks(hbar=args.hbar, tol=args.tol, max_evals=args.max_evals)
     resid = [d["residual"] for d in lc["drude"]]
     ok_drude = resid[0] > resid[1] > resid[2]
     _check_line(failures, "Drude large-cutoff limit", ok_drude,
@@ -268,7 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=float, default=1.0)
     common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--max-evals", type=int, default=2_000_000)
+    common.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS,
+                        help="integrand evaluations per integral (report, table1, table2, check)")
     common.add_argument("--format", choices=("csv", "table"), default="csv")
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument("--seed", type=int, default=None)
@@ -311,7 +325,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (NonConvergence, Inconclusive) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

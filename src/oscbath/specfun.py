@@ -5,7 +5,9 @@ kernels.
 Only real positive arguments are supported; the complex continuation of E1
 onto the negative axis is exposed explicitly through
 :func:`e1_negative_continuation` with the side of the cut selected by the
-caller.
+caller. The scaled integrals also take a 1-D ndarray of arguments:
+:func:`exp_e1_ei` evaluates both of them at every node with one piece
+selection per node and one stacked recurrence.
 """
 
 from __future__ import annotations
@@ -13,10 +15,13 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 __all__ = [
     "EULER_GAMMA",
     "exp_e1",
     "exp_neg_ei",
+    "exp_e1_ei",
     "e1",
     "ei",
     "e1_negative_continuation",
@@ -178,14 +183,17 @@ def _chebyshev(coeffs: tuple[float, ...], t: float) -> float:
     return b1 - t * b2
 
 
-def exp_e1(x: float) -> float:
+def exp_e1(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled exponential integral e^x E1(x) for x > 0.
 
     Power series up to x=1 (E1 = -gamma - ln x + sum (-1)^(k+1) x^k/(k k!)),
     Chebyshev pieces on the octaves up to 64, asymptotic series above; the
     scaled form stays representable for arbitrarily large x (asymptotically
-    1/x - 1/x^2).
+    1/x - 1/x^2). An ndarray argument gives an ndarray (see
+    :func:`exp_e1_ei`).
     """
+    if isinstance(x, np.ndarray):
+        return exp_e1_ei(x)[0]
     if not x > 0.0:
         raise ValueError(f"exp_e1 requires x > 0, got {x}")
     if x <= 1.0:
@@ -197,13 +205,20 @@ def exp_e1(x: float) -> float:
     return u * _poly(_ASYMPTOTIC, -u)
 
 
-def exp_neg_ei(x: float) -> float:
+def exp_neg_ei(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled exponential integral e^-x Ei(x) for x > 0.
 
     Power series up to x=1 (Ei = gamma + ln x + sum x^k/(k k!)), Chebyshev
     pieces on the octaves up to 64, asymptotic series above;
-    asymptotically 1/x + 1/x^2.
+    asymptotically 1/x + 1/x^2. An ndarray argument gives an ndarray (see
+    :func:`exp_e1_ei`).
+
+    Near the zero of Ei, x0 = 0.3725074107813666, the accuracy is absolute
+    (about 1e-16), not relative: the relative error is 7.5e-8 at
+    x0 (1 + 1e-9) and 1.8e-11 at x0 (1 + 1e-6).
     """
+    if isinstance(x, np.ndarray):
+        return exp_e1_ei(x)[1]
     if not x > 0.0:
         raise ValueError(f"exp_neg_ei requires x > 0, got {x}")
     if x <= 1.0:
@@ -213,6 +228,61 @@ def exp_neg_ei(x: float) -> float:
         return _chebyshev(_EI_CHEB[e - 1], 4.0 * m - 3.0)
     u = 1.0 / x
     return u * _poly(_ASYMPTOTIC, u)
+
+
+# The pieces of both functions as one table for the ndarray path: piece 0 is
+# the power series, 1..6 the octaves [1, 2) ... [32, 64), 7 the asymptotic
+# series. _STACKED[k, f, piece] is coefficient k, highest first and padded
+# with leading zeros, of function f (0: e^x E1, 1: e^-x Ei).
+_PIECES = ((_SERIES, _SERIES), *zip(_E1_CHEB, _EI_CHEB), (_ASYMPTOTIC, _ASYMPTOTIC))
+_WIDTH = max(len(c) for pair in _PIECES for c in pair)
+_STACKED = np.ascontiguousarray(np.array([
+    [(0.0,) * (_WIDTH - len(c)) + c[::-1] for c in pair] for pair in _PIECES
+]).transpose(2, 1, 0))
+
+
+def exp_e1_ei(x: float | np.ndarray) -> tuple:
+    """(e^x E1(x), e^-x Ei(x)) for x > 0, as floats or as 1-D ndarrays.
+
+    For an ndarray each node selects its piece once, and one recurrence
+    runs over both functions and every node: Horner's rule on the series
+    pieces and Clenshaw's on the Chebyshev pieces, written as
+    b <- A b + B b' + c with per-node A and B. The operations are those of
+    :func:`exp_e1` and :func:`exp_neg_ei` in the same order, so the values
+    equal theirs bit for bit.
+    """
+    if not isinstance(x, np.ndarray):
+        return exp_e1(x), exp_neg_ei(x)
+    if not (x > 0.0).all():
+        raise ValueError("exp_e1_ei requires x > 0")
+    m, e = np.frexp(x)
+    series = x <= 1.0
+    cheb = ~series & (e <= len(_E1_CHEB))
+    t = 4.0 * m - 3.0
+    u = 1.0 / np.maximum(x, 1.0)
+    # Horner in -x or -u for e^x E1 and in x or u for e^-x Ei; Clenshaw in 2t
+    a = np.where(series, x, np.where(cheb, t + t, u))
+    A = np.stack((np.where(cheb, a, -a), a))
+    B = np.where(cheb, -1.0, 0.0)
+    coeffs = _STACKED[:, :, np.where(series, 0, np.minimum(e, len(_PIECES) - 1))]
+    b1, b2, ab = coeffs[0].copy(), np.zeros_like(A), np.empty_like(A)
+    for c in coeffs[1:]:
+        np.multiply(A, b1, out=ab)
+        b2 *= B
+        b2 += ab
+        b2 += c
+        b1, b2 = b2, b1
+    b2 *= np.where(cheb, t, 0.0)
+    b1 -= b2
+    e1s, eis = np.where(cheb, 1.0, np.where(series, x, u)) * b1
+    i = np.flatnonzero(series)
+    if i.size:
+        # math's exp and log, as in the scalar functions
+        xi = x[i].tolist()
+        q = np.array([EULER_GAMMA + math.log(v) for v in xi])
+        e1s[i] = np.array([math.exp(v) for v in xi]) * (-q + e1s[i])
+        eis[i] = np.array([math.exp(-v) for v in xi]) * (q + eis[i])
+    return e1s, eis
 
 
 def e1(x: float) -> float:

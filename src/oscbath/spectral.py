@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from . import specfun
 from .quadrature import principal_value_integral
 
@@ -205,14 +207,15 @@ def gamma_t(model: SpectralModel, t: float) -> float:
     )
 
 
-def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, complex]]:
+def boundary_kernel(model: SpectralModel) -> Callable:
     """The model's damping kernel at the real axis, resolved once.
 
     Checks validity and dispatches on the family once, and returns a closure
     ``w -> (gamma_plus(w), gamma_plus'(w))`` that computes both values from
-    shared terms; the closure does not check ``w > 0``. The real part of
-    gamma_plus equals J(w)/(M w); the imaginary (reactive) part is the
-    principal-value transform of J. For the delta(0)-carrying members
+    shared terms, elementwise: ``w`` is a float or an ndarray, and so are
+    the two complex values. The closure does not check ``w > 0``. The real
+    part of gamma_plus equals J(w)/(M w); the imaginary (reactive) part is
+    the principal-value transform of J. For the delta(0)-carrying members
     (extended Ohmic p = 2, even extended Drude n >= 4) the closure returns
     the finite part, the delta(0) weight dropped: enough to classify the
     divergence, not to integrate it. Even extended Drude n >= 6 reuses the
@@ -224,10 +227,9 @@ def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, co
     _reject_invalid(model)
     g = model.gamma_o
     if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
-        values = (complex(g, 0.0), 0j)
-        return lambda w: values
+        return lambda w: (g + 0j * w, 0j * w)
     if isinstance(model, ExtendedOhmic) and model.p == 2:
-        return lambda w: (complex(w * w / g, 0.0), complex(2.0 * w / g, 0.0))
+        return lambda w: (w * w / g + 0j, 2.0 * w / g + 0j)
     if isinstance(model, ExtendedOhmic):
         raise UnsupportedKernel(
             f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
@@ -236,13 +238,12 @@ def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, co
         we = model.omega_e
         gpi = g / math.pi
 
-        def exponential(w: float) -> tuple[complex, complex]:
+        def exponential(w):
             lam = w / we
-            e1s = specfun.exp_e1(lam)
-            eis = specfun.exp_neg_ei(lam)
-            re = g * math.exp(-lam)
+            e1s, eis = specfun.exp_e1_ei(lam)
+            re = g * np.exp(-lam)
             # d/dlam of (e^x E1 + e^-x Ei) = e^x E1 - e^-x Ei
-            return complex(re, gpi * (e1s + eis)), complex(-re, gpi * (e1s - eis)) / we
+            return re + 1j * (gpi * (e1s + eis)), (1j * (gpi * (e1s - eis)) - re) / we
 
         return exponential
     wd = model.omega_d
@@ -250,8 +251,8 @@ def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, co
     gwd = g * wd
     if n == 0:
 
-        def drude(w: float) -> tuple[complex, complex]:
-            c = complex(wd, -w)
+        def drude(w):
+            c = wd - 1j * w
             gd = gwd / c
             return gd, 1j * gd / c
 
@@ -260,29 +261,29 @@ def boundary_kernel(model: SpectralModel) -> Callable[[float], tuple[complex, co
         wd2 = wd * wd
         c_log = 2.0 / math.pi
 
-        def drude1(w: float) -> tuple[complex, complex]:
+        def drude1(w):
             denom = w * w + wd2
             u = w / denom
             du = (wd2 - w * w) / denom ** 2
-            lg = math.log(w / wd)
-            return (gwd * complex(u, c_log * u * lg),
-                    gwd * complex(du, c_log * (du * lg + u / w)))
+            lg = np.log(w / wd)
+            return (gwd * (u + 1j * (c_log * u * lg)),
+                    gwd * (du + 1j * (c_log * (du * lg + u / w))))
 
         return drude1
     if n == 2:
 
-        def drude2(w: float) -> tuple[complex, complex]:
+        def drude2(w):
             # Ohmic minus Drude
-            c = complex(wd, -w)
+            c = wd - 1j * w
             gd = gwd / c
             return g - gd, -1j * gd / c
 
         return drude2
     g_wd2 = g / (wd * wd)
 
-    def drude4_finite_part(w: float) -> tuple[complex, complex]:
+    def drude4_finite_part(w):
         # Drude minus Ohmic plus g w^2 / wd^2
-        c = complex(wd, -w)
+        c = wd - 1j * w
         gd = gwd / c
         return gd - g + g_wd2 * w * w, 1j * gd / c + 2.0 * g_wd2 * w
 
@@ -297,8 +298,8 @@ def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:
             f"{type(model).__name__}: gamma_plus carries a delta(0) weight; "
             "only divergence classification is defined"
         )
-    kernel = boundary_kernel(model)
-    return kernel(_require_positive("omega", omega))
+    gp, dgp = boundary_kernel(model)(_require_positive("omega", omega))
+    return complex(gp), complex(dgp)
 
 
 def gamma_plus(model: SpectralModel, M: float, omega: float) -> complex:

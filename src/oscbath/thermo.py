@@ -22,6 +22,7 @@ import numpy as np
 
 from . import specfun
 from .quadrature import (
+    DEFAULT_MAX_EVALS,
     DivergenceClass,
     DivergenceTag,
     classify_tail,
@@ -232,7 +233,7 @@ def k_drude_closed(
 
 def k_drude_lambda(
     omega_0: float, omega_d: float, gamma_o: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> float:
     """Drude second-law deficit as a single dimensionless integral."""
     l0 = omega_0 / gamma_o
@@ -245,7 +246,8 @@ def k_drude_lambda(
         b = ld * ld * lam
         return num / (a * a + b * b)
 
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=[l0, ld, l0 + ld])
+    res = integrate_semi_infinite(
+        integrand, tol=tol, split_points=[l0, ld, l0 + ld], max_evals=max_evals)
     return hbar * gamma_o / (2.0 * math.pi) * res.value
 
 
@@ -255,7 +257,7 @@ def k_drude_lambda(
 
 def k_exponential(
     omega_0: float, omega_e: ArrayLike, gamma_o: ArrayLike,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> float | np.ndarray:
     """Second-law deficit for the exponentially cut-off model.
 
@@ -271,61 +273,79 @@ def k_exponential(
     entry keeps the bound ``tol``; the result is an ndarray of the broadcast
     shape.
     """
-    scalar = isinstance(omega_e, (int, float)) and isinstance(gamma_o, (int, float))
-    if not scalar:
-        shape = np.broadcast_shapes(np.shape(omega_e), np.shape(gamma_o))
-        omega_e, gamma_o = (
-            np.broadcast_to(np.asarray(a, dtype=float), shape).ravel()
-            for a in (omega_e, gamma_o))
+    return _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals)[0]
+
+
+def _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals):
+    # k_exponential and the summed error estimate of its K entries
+    (omega_e, gamma_o), unpack = _entries(omega_e, gamma_o)
     we2 = omega_e * omega_e
     w0sq = omega_0 ** 2
     damp = gamma_o * omega_e / math.pi
     pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
 
-    def integrand(lam: float) -> float | np.ndarray:
-        # per-node scalars first, so that entry arrays take five operations
-        e1s = specfun.exp_e1(lam)
-        eis = specfun.exp_neg_ei(lam)
-        pe = math.pi * math.exp(-lam)
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        # the node terms first, then one (nodes, entries) pass
+        e1s, eis = specfun.exp_e1_ei(lam)
+        pe = 1j * (math.pi * np.exp(-lam))
         lam2 = lam * lam
-        f1 = lam2 * complex(e1s - eis, pe)
-        f2 = we2 * lam2 - w0sq + damp * (lam * complex(-(e1s + eis), pe))
+        f1 = (lam2 * (e1s - eis + pe))[:, None]
+        f2 = we2 * lam2[:, None] - w0sq + damp * (lam * (pe - (e1s + eis)))[:, None]
         return pref * (f1 / f2).imag
 
-    r0 = omega_0 / omega_e
-    if scalar:
-        splits = [r0, 1.0, r0 + 1.0]
-    else:
-        splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=splits)
-    k = res.value
-    return float(k) if scalar else k.reshape(shape)
+    r0 = (omega_0 / omega_e).ravel()
+    splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
+    res = integrate_semi_infinite(
+        integrand, tol=tol, split_points=splits, max_evals=max_evals, vectorized=True)
+    return unpack(res.value), float(res.abs_error_estimate.sum())
+
+
+def _entries(*params: ArrayLike):
+    """The parameters broadcast and flattened into (1, entries) rows, and the
+    map from a (entries,) result back to a float (all parameters scalar) or
+    to an ndarray of the broadcast shape."""
+    shape = np.broadcast_shapes(*(np.shape(p) for p in params))
+    rows = [np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(1, -1) for p in params]
+    if shape == ():
+        return rows, lambda k: float(k[0])
+    return rows, lambda k: k.reshape(shape)
 
 
 def k_extended_drude1(
-    omega_0: float, omega_d: float, gamma_o: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
-) -> float:
-    """Second-law deficit for the extended Drude model with one extra power."""
-    l0 = omega_0 / gamma_o
-    ld = omega_d / gamma_o
+    omega_0: ArrayLike, omega_d: ArrayLike, gamma_o: float,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
+) -> float | np.ndarray:
+    """Second-law deficit for the extended Drude model with one extra power.
 
-    def integrand(lam: float) -> float:
+    One integral over lam = w/gamma_o; ``tol`` bounds the estimated absolute
+    error of that integral, K / (hbar gamma_o / 2 pi). Scalar ``omega_0``
+    and ``omega_d`` give a float; array-like ones broadcast into one
+    shared-panel integral, as in :func:`k_exponential`.
+    """
+    return _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals)[0]
+
+
+def _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals):
+    # k_extended_drude1 and the summed error estimate of its K entries
+    (l0, ld), unpack = _entries(np.divide(omega_0, gamma_o), np.divide(omega_d, gamma_o))
+    ld2 = ld * ld
+    l02 = l0 * l0
+    c_log = 2.0 / math.pi
+
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        lam = lam[:, None]
         lam2 = lam * lam
-        ld2 = ld * ld
-        lg = math.log(lam / ld)
-        g1 = lam2 * complex(
-            2.0 * ld / math.pi * ((ld2 - lam2) * lg + lam2 + ld2),
-            ld * (lam2 - ld2),
-        )
-        g2 = (lam2 + ld2) * complex(
-            (lam2 - l0 * l0) * (lam2 + ld2) - 2.0 * ld * lam2 / math.pi * lg,
-            ld * lam2,
-        )
+        lg = np.log(lam / ld)
+        g1 = lam2 * (c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2) + 1j * (ld * (lam2 - ld2)))
+        g2 = (lam2 + ld2) * (
+            (lam2 - l02) * (lam2 + ld2) - c_log * ld * lam2 * lg + 1j * (ld * lam2))
         return (g1 / g2).imag
 
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=[l0, ld, l0 + ld])
-    return hbar * gamma_o / (2.0 * math.pi) * res.value
+    splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
+    res = integrate_semi_infinite(
+        integrand, tol=tol, split_points=splits, max_evals=max_evals, vectorized=True)
+    scale = hbar * gamma_o / (2.0 * math.pi)
+    return unpack(scale * res.value), scale * float(res.abs_error_estimate.sum())
 
 
 def k_extended_drude2_closed(
@@ -389,69 +409,99 @@ def _tail_window(model: SpectralModel, omega_0: float) -> tuple[float, float]:
     return 30.0 * max([omega_0, *_cutoffs(model)]), 1e8
 
 
-def _integrands(model: SpectralModel, omega_0: float):
-    """The E_s(0), F(0) and K integrands on one ``boundary_kernel`` closure.
+# columns of the fused integrand
+_ES, _F, _K = 0, 1, 2
 
-    With G = w^2 - w0^2 + i w gamma_plus and G' = 2w + i gamma_plus
+
+def _integrand(model: SpectralModel, omega_0: float, columns: tuple[int, ...] = (_ES, _F, _K)):
+    """The E_s(0), F(0) and K integrands as one node-batched function.
+
+    Maps a 1-D ndarray of frequencies to rows of the requested ``columns``
+    of ``[E_s, F, K]``, from one ``boundary_kernel`` call. With
+    G = w^2 - w0^2 + i w gamma_plus and G' = 2w + i gamma_plus
     + i w gamma_plus': E_s from (w0^2 + w^2) Im G / |G|^2, F from
-    w Im(-G'/G), K from Im(-i w^2 gamma_plus' / G). For the delta(0)-carrying
-    members the closure is the finite part, on which only the tail classes
-    are meaningful.
+    w Im(-G'/G), K from Im(-i w^2 gamma_plus' / G). For the
+    delta(0)-carrying members the kernel is the finite part, on which only
+    the tail classes are meaningful.
     """
     kernel = boundary_kernel(model)
     w0sq = omega_0 * omega_0
 
-    def es(w: float) -> float:
-        gp, _ = kernel(w)
-        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
-        return (w0sq + w * w) * G.imag / abs(G) ** 2
+    def es(w, w2, G, gp, dgp):
+        return (w0sq + w2) * G.imag / np.abs(G) ** 2
 
-    def f(w: float) -> float:
-        gp, dgp = kernel(w)
-        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
+    def f(w, w2, G, gp, dgp):
         dG = 2.0 * w + 1j * gp + 1j * w * dgp
         return w * (-(dG / G)).imag
 
-    def k(w: float) -> float:
+    def k(w, w2, G, gp, dgp):
+        return (w2 * (-1j * dgp) / G).imag
+
+    chosen = [(es, f, k)[c] for c in columns]
+
+    def integrand(w: np.ndarray) -> np.ndarray:
         gp, dgp = kernel(w)
-        G = complex(w * w - w0sq, 0.0) + 1j * w * gp
-        return (w * w * (-1j * dgp) / G).imag
+        w2 = w * w
+        G = (w2 - w0sq) + 1j * w * gp
+        return np.stack([column(w, w2, G, gp, dgp) for column in chosen], axis=1)
 
-    return es, f, k
+    return integrand
 
 
-def _energy(
-    model: SpectralModel, integrand, omega_0: float, hbar: float, tol: float
-) -> EnergyOrDivergent:
-    tail = classify_tail(integrand, window=_tail_window(model, omega_0))
-    if tail.tag is not DivergenceTag.CONVERGENT:
-        return tail
-    res = integrate_semi_infinite(integrand, tol=tol, split_points=_split_points(model, omega_0))
-    return hbar / (2.0 * math.pi) * res.value
+def _continuous(
+    model: SpectralModel, omega_0: float, classified: tuple[int, ...],
+    integrated: tuple[int, ...], hbar: float, tol: float, max_evals: int,
+) -> tuple[dict, float]:
+    """Columns of the fused integrand as energies or divergence classes.
+
+    The ``classified`` columns get their tail classes from one
+    ``classify_tail`` call, and the divergent ones keep their class. The
+    convergent ones and the ``integrated`` columns are integrated as one
+    shared-panel integral. Returns {column: value or class} and the summed
+    error estimate of the values, both in energy units.
+    """
+    out = {}
+    if classified:
+        classes = classify_tail(_integrand(model, omega_0, classified),
+                                window=_tail_window(model, omega_0), vectorized=True)
+        out = {c: cls for c, cls in zip(classified, classes)
+               if cls.tag is not DivergenceTag.CONVERGENT}
+    columns = tuple(sorted({*classified, *integrated} - out.keys()))
+    if not columns:
+        return out, 0.0
+    res = integrate_semi_infinite(
+        _integrand(model, omega_0, columns), tol=tol,
+        split_points=_split_points(model, omega_0), max_evals=max_evals, vectorized=True)
+    scale = hbar / (2.0 * math.pi)
+    out.update((c, scale * float(v)) for c, v in zip(columns, res.value))
+    return out, scale * float(res.abs_error_estimate.sum())
 
 
 def system_energy_0_cont(
     model: SpectralModel, M: float, omega_0: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> EnergyOrDivergent:
     """E_s(0) by the fluctuation-dissipation integral over Im of the
     susceptibility; divergent families return their divergence class."""
-    es, _, _ = _integrands(model, omega_0)
-    return _energy(model, es, omega_0, hbar, tol)
+    return _continuous(model, omega_0, (_ES,), (), hbar, tol, max_evals)[0][_ES]
 
 
 def free_energy_0_cont(
     model: SpectralModel, M: float, omega_0: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> EnergyOrDivergent:
     """F(0) by the logarithmic-derivative integrand w * Im(-G'/G)."""
-    _, f, _ = _integrands(model, omega_0)
-    return _energy(model, f, omega_0, hbar, tol)
+    return _continuous(model, omega_0, (_F,), (), hbar, tol, max_evals)[0][_F]
+
+
+def _k_vanishes(model: SpectralModel) -> bool:
+    # Ohmic damping: the K integrand vanishes pointwise
+    return isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0)
 
 
 def k_cont(
     model: SpectralModel, M: float, omega_0: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> EnergyOrDivergent:
     """Second-law deficit by the generic frequency integral.
 
@@ -459,37 +509,40 @@ def k_cont(
     delta-weight families return the divergence class of the integrand on
     the finite part of their kernel, a negative logarithmic divergence.
     """
-    if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
+    if _k_vanishes(model):
         return 0.0
-    _, _, k = _integrands(model, omega_0)
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        return classify_tail(k, window=_tail_window(model, omega_0))
-    res = integrate_semi_infinite(k, tol=tol, split_points=_split_points(model, omega_0))
-    return hbar / (2.0 * math.pi) * res.value
+        k = _integrand(model, omega_0, (_K,))
+        return classify_tail(k, window=_tail_window(model, omega_0), vectorized=True)[0]
+    return _continuous(model, omega_0, (), (_K,), hbar, tol, max_evals)[0][_K]
 
 
 def thermo_report(
     model: SpectralModel, M: float, omega_0: float,
-    hbar: float = 1.0, tol: float = DEFAULT_TOL,
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> ThermoReport:
     """Full report: E_s(0), F(0), K, with the best available method per model.
 
-    Raises InvalidModel for a distributional kernel and ValueError when
-    ``M`` or ``omega_0`` is not positive and finite.
+    ``error_estimate`` is the summed absolute error estimate of the
+    integrals behind the reported numbers, in energy units; 0 for closed
+    forms and divergence classes. Each integral gets ``tol`` and
+    ``max_evals``. Raises InvalidModel for a distributional kernel,
+    ValueError when ``M`` or ``omega_0`` is not positive and finite, and
+    NonConvergence when an integral misses ``tol`` within its budget.
     """
     _require_positive("M", M)
     _require_positive("omega_0", omega_0)
     status = classify_model(model)
     if status.tag is StatusTag.INVALID_KERNEL:
         raise InvalidModel(str(status))
-    err = 0.0
     if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        window = _tail_window(model, omega_0)
-        es, f0, k = (classify_tail(f, window=window) for f in _integrands(model, omega_0))
+        es, f0, k = classify_tail(_integrand(model, omega_0),
+                                  window=_tail_window(model, omega_0), vectorized=True)
         return ThermoReport(
             E_s0=es, F0=f0, K=k, method="divergence-classification",
             error_estimate=0.0, model_status=status, K_normalized=None,
         )
+    err = 0.0
     if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
         params = drude_params_from_physical(omega_0, model.omega_d, model.gamma_o)
         es = _es_drude_params(params, omega_0, hbar)
@@ -497,17 +550,23 @@ def thermo_report(
         k = f0 - es
         method = "closed-form"
     else:
-        es = system_energy_0_cont(model, M, omega_0, hbar, tol)
-        f0 = free_energy_0_cont(model, M, omega_0, hbar, tol)
+        exponential = isinstance(model, Exponential)
+        drude1 = isinstance(model, ExtendedDrude) and model.n == 1
+        generic_k = not (exponential or drude1 or _k_vanishes(model))
+        values, err = _continuous(model, omega_0, (_ES, _F), (_K,) if generic_k else (),
+                                  hbar, tol, max_evals)
+        es, f0 = values[_ES], values[_F]
         method = "special-integrand"
-        if isinstance(model, Exponential):
-            k = k_exponential(omega_0, model.omega_e, model.gamma_o, hbar, tol)
-        elif isinstance(model, ExtendedDrude) and model.n == 1:
-            k = k_extended_drude1(omega_0, model.omega_d, model.gamma_o, hbar, tol)
+        if exponential:
+            k, k_err = _k_exponential(omega_0, model.omega_e, model.gamma_o, hbar, tol, max_evals)
+            err += k_err
+        elif drude1:
+            k, k_err = _k_extended_drude1(
+                omega_0, model.omega_d, model.gamma_o, hbar, tol, max_evals)
+            err += k_err
         else:
-            k = k_cont(model, M, omega_0, hbar, tol)
+            k = values[_K] if generic_k else 0.0
             method = "generic-quadrature"
-        err = tol
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None
     return ThermoReport(
         E_s0=es, F0=f0, K=k, method=method,
@@ -515,7 +574,9 @@ def thermo_report(
     )
 
 
-def limit_checks(hbar: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
+def limit_checks(
+    hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS
+) -> dict:
     """Large-cutoff behaviour of the Drude and exponential deficits.
 
     Returns the Drude residuals against the asymptotic value (gamma/pi w0) E_g
@@ -537,7 +598,7 @@ def limit_checks(hbar: float = 1.0, tol: float = DEFAULT_TOL) -> dict:
             "residual": abs(k - limit), "expansion": expansion,
         })
     exp_we = (0.5, 1.0, 5.0, 10.0, 50.0, 80.0)
-    exp_k = k_exponential(1.0, exp_we, 1.0, hbar, tol)
+    exp_k = k_exponential(1.0, exp_we, 1.0, hbar, tol, max_evals)
     exp_col = [{"omega_e": we, "K": float(k)} for we, k in zip(exp_we, exp_k)]
     exp_limit = hbar * 1.0 / (2.0 * math.pi)
     return {"drude": drude, "exponential": exp_col, "exponential_limit": exp_limit}

@@ -57,6 +57,16 @@ class TestReport:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert "omega_0" in captured.err
 
+    def test_unreachable_tol_exits_1_within_budget(self, capsys):
+        args = ["report", "--model", "exp g=1 we=5", "--omega0", "1", "--tol", "1e-15"]
+        rc = main(args + ["--max-evals", "100000"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert main(args[:-2] + ["--max-evals", "100000"]) == 0
+        capsys.readouterr()
+
     def test_parse_error_reports_position(self, capsys):
         rc = main(["report", "--model", "drude g=abc wd=1", "--omega0", "1"])
         err = capsys.readouterr().err
@@ -125,6 +135,13 @@ class TestGrids:
         main(["table1"])
         b = capsys.readouterr().out
         assert a == b
+
+    @pytest.mark.parametrize("command", [["table1"], ["table2"], ["check", "--baths", "1"]])
+    def test_budget_exhausted_exits_1(self, command, capsys):
+        rc = main(command + ["--tol", "1e-15", "--max-evals", "1000"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         main(["fig1"])

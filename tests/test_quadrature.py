@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscbath.quadrature import (
+    MAX_BATCH,
     DivergenceTag,
     Inconclusive,
     NonConvergence,
@@ -60,26 +61,75 @@ class TestSemiInfinite:
             lambda x: x * math.exp(-x),
             lambda x: 1.0 / (1.0 + x * x),
         )
+        rows = lambda x: np.stack([np.exp(-x), x * np.exp(-x), 1.0 / (1.0 + x * x)], axis=1)
         tol = 1e-9
+        for integrand, vectorized in ((lambda x: np.array([f(x) for f in fs]), False),
+                                      (rows, True)):
+            res = integrate_semi_infinite(
+                integrand, tol=tol, split_points=[1.0], vectorized=vectorized
+            )
+            assert res.converged
+            assert res.value.shape == (3,)
+            assert np.all(res.abs_error_estimate <= tol)
+            for f, value in zip(fs, res.value):
+                alone = integrate_semi_infinite(f, tol=tol, split_points=[1.0])
+                assert abs(value - alone.value) <= tol
+
+    def test_vectorized_scalar_entries(self):
+        # a (n,) integrand gives float results, within tol of the scalar path
+        res = integrate_semi_infinite(lambda x: x * np.exp(-x), tol=1e-9, vectorized=True)
+        assert type(res.value) is float and type(res.abs_error_estimate) is float
+        assert res.abs_error_estimate <= 1e-9
+        assert abs(res.value - 1.0) <= 1e-9
+        assert res.evaluations % 15 == 0
+
+    def test_vectorized_calls_bounded(self):
+        # once the first call shows 200 entries, a call takes at most
+        # MAX_BATCH node-entries; each entry still meets tol
+        a = np.linspace(0.5, 3.0, 200)
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return np.exp(-np.outer(x, a)) * np.cos(np.outer(x, a))
+
         res = integrate_semi_infinite(
-            lambda x: np.array([f(x) for f in fs]), tol=tol, split_points=[1.0]
+            f, tol=1e-12, split_points=[0.5, 1.0, 2.0, 4.0], vectorized=True
         )
-        assert res.converged
-        assert res.value.shape == (3,)
-        assert np.all(res.abs_error_estimate <= tol)
-        for f, value in zip(fs, res.value):
-            alone = integrate_semi_infinite(f, tol=tol, split_points=[1.0])
-            assert abs(value - alone.value) <= tol
+        assert max(sizes[1:]) * len(a) <= MAX_BATCH
+        assert np.all(res.abs_error_estimate <= 1e-12)
+        assert np.abs(res.value - 0.5 / a).max() <= 1e-12
 
     def test_nonconvergence_carries_partial(self):
         f = lambda x: math.sin(x * x) / (1.0 + x)
         entries = lambda x: np.array([f(x), math.exp(-x)])
-        for integrand in (f, entries):
+        rows = lambda x: np.stack([np.sin(x * x) / (1.0 + x), np.exp(-x)], axis=1)
+        for integrand, vectorized in ((f, False), (entries, False), (rows, True)):
             with pytest.raises(NonConvergence) as exc:
-                integrate_semi_infinite(integrand, tol=1e-14, max_evals=600)
+                integrate_semi_infinite(
+                    integrand, tol=1e-14, max_evals=600, vectorized=vectorized
+                )
             partial = exc.value.partial
             assert not partial.converged
             assert partial.evaluations <= 600
+
+    def test_panel_at_machine_width_raises(self):
+        # int_0^inf (1+x)^-1.05 dx = 20: the tail beyond x ~ 1e16 cannot be
+        # resolved in t = x/(1+x), whose panels next to t = 1 reach machine
+        # width; that must raise, not return 16.8 as converged
+        cases = (
+            (lambda x: (1.0 + x) ** -1.05, False),
+            (lambda x: np.array([(1.0 + x) ** -1.05]), False),
+            (lambda x: (1.0 + x) ** -1.05, True),
+        )
+        for f, vectorized in cases:
+            with pytest.raises(NonConvergence, match="machine width") as exc:
+                integrate_semi_infinite(f, vectorized=vectorized)
+            partial = exc.value.partial
+            assert not partial.converged
+            assert np.all(partial.value < 17.0)
+            assert np.all(partial.abs_error_estimate > 1e-9)
+            assert partial.evaluations < 100_000
 
     @given(
         st.floats(min_value=0.1, max_value=10.0),
@@ -167,3 +217,17 @@ class TestClassifyTail:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             classify_tail(lambda x: 1.0 / x, window=(5.0, 1.0))
+
+    def test_vectorized_matches_scalar(self):
+        fs = [lambda x: 1.0 / x, lambda x: -1.0 / x, lambda x: math.exp(-x)]
+        fs += [lambda x, p=p: x ** (-p) for p in (0.5, 1.0, 1.5, 2.0)]
+        rows = lambda x: np.stack(
+            [1.0 / x, -1.0 / x, np.exp(-x)] + [x ** (-p) for p in (0.5, 1.0, 1.5, 2.0)],
+            axis=1,
+        )
+        window = (10.0, 1e4)
+        scalar = [classify_tail(f, window=window) for f in fs]
+        assert classify_tail(rows, window=window, vectorized=True) == tuple(scalar)
+        for f, cls in zip(fs, scalar):
+            one = lambda x, f=f: np.array([f(v) for v in x])
+            assert classify_tail(one, window=window, vectorized=True) == cls

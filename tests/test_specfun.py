@@ -4,6 +4,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +52,19 @@ class TestScaledExponentialIntegrals:
             assert specfun.exp_neg_ei(x) == pytest.approx(
                 oracle_exp_neg_ei(x), rel=1e-10
             ), f"x={x}"
+
+    def test_ndarray_equals_scalar_calls(self):
+        # one piece selection and one stacked recurrence per array, with the
+        # scalar functions' operations in their order: equal bit for bit
+        xs = log_grid(1e-3, 700.0, 400) + PIECE_EDGES
+        x = np.array(xs)
+        e1s, eis = specfun.exp_e1_ei(x)
+        assert np.array_equal(specfun.exp_e1(x), e1s)
+        assert np.array_equal(specfun.exp_neg_ei(x), eis)
+        assert e1s.tolist() == [specfun.exp_e1(v) for v in xs]
+        assert eis.tolist() == [specfun.exp_neg_ei(v) for v in xs]
+        with pytest.raises(ValueError):
+            specfun.exp_e1_ei(np.array([1.0, 0.0]))
 
     def test_large_x_asymptotics(self):
         x = 100.0

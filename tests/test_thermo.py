@@ -207,6 +207,17 @@ class TestExtendedDrude1:
             for wd in goldens.TABLE2_GRID:
                 assert thermo.k_extended_drude1(w0, wd, 1.0) > 0.0
 
+    def test_array_matches_scalar_calls(self):
+        # one shared-panel integral over the Table 2 grid
+        grid = goldens.TABLE2_GRID
+        got = thermo.k_extended_drude1(np.array(grid)[:, None], grid, 1.0)
+        assert got.shape == (len(grid), len(grid))
+        for i, w0 in enumerate(grid):
+            for j, wd in enumerate(grid):
+                k = thermo.k_extended_drude1(w0, wd, 1.0)
+                assert type(k) is float
+                assert abs(got[i, j] - k) < 1e-9
+
 
 class TestExtendedDrude2:
     def test_zero_at_zero_coupling(self):
@@ -391,6 +402,19 @@ class TestThermoReport:
             assert [str(v) for v in (rep.E_s0, rep.F0, rep.K)] == [
                 "LogDivergent(+)", "LogDivergent(-)", "LogDivergent(-)"], model
             assert rep.K_normalized is None
+
+    def test_error_estimate_is_measured(self):
+        # the summed error estimates of the integrals behind the numbers,
+        # in energy units, not the requested tol
+        tol = 1e-9
+        for model in (Exponential(1.0, 5.0), ExtendedDrude(1.0, 5.0, 1)):
+            rep = thermo.thermo_report(model, 1.0, 1.0, tol=tol)
+            assert 0.0 < rep.error_estimate <= 3.0 * tol
+            assert rep.error_estimate != tol
+            loose = thermo.thermo_report(model, 1.0, 1.0, tol=1e-6)
+            assert loose.error_estimate > rep.error_estimate
+        assert thermo.thermo_report(Drude(1.0, 5.0), 1.0, 1.0).error_estimate == 0.0
+        assert thermo.thermo_report(ExtendedOhmic(1.0, 2), 1.0, 1.0).error_estimate == 0.0
 
     def test_rejects_bad_mass_and_frequency(self):
         for model in (Drude(1.0, 5.0), Exponential(1.0, 5.0)):
