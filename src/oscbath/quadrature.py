@@ -1,31 +1,29 @@
 """Adaptive quadrature on the half line, principal-value integrals, and
 tail-divergence classification.
 
-The semi-infinite domain is mapped onto [0, 1) by x = t/(1-t) and integrated
-with an adaptive Gauss(7)-Kronrod(15) rule; callers may declare interior
-split points (resonances, cutoffs) to seed the initial subdivision. An
-integrand may return a 1-D ndarray of entries that share one set of panels.
-Principal-value integrals fold the two sides of the pole together, so the
-odd singular part cancels pointwise and no excision parameter survives.
+Every integrand maps a 1-D ndarray of nodes to shape ``(n,)``, one value
+per node, or ``(n, m)``, one row of ``m`` entries per node that share one
+set of panels; results are then floats or ndarrays of shape ``(m,)``, and
+``evaluations`` counts nodes.
 
-Two calling conventions share the error control. By default ``f`` takes one
-float and returns a float or a 1-D ndarray of entries; panels are refined
-one at a time, worst first, from a heap. With ``vectorized=True`` ``f``
-takes a 1-D ndarray of nodes and returns shape ``(n,)`` or ``(n, m)``, one
-row per node. All starting panels go through one call. Each refinement
+Finite intervals are integrated with an adaptive Gauss(7)-Kronrod(15) rule;
+callers may declare interior split points (resonances, cutoffs) to seed
+the initial subdivision, and the half line is mapped onto [0, 1) by
+x = t/(1-t). All starting panels go through one call. Each refinement
 round bisects the worst panels together (as many as it takes for the rest
 to be within ``tol/2`` for every entry) and evaluates the new panels in one
 call. Once the first call has shown the number of entries, a call takes at
-most ``MAX_BATCH`` node-entries. Either way each entry's summed error
-estimate ends at most ``tol``, and a panel narrower than ``PANEL_ULPS``
-ulps of its endpoints that still misses it raises ``NonConvergence``
-instead of being refined further.
+most ``MAX_BATCH`` node-entries. Each entry's summed error estimate ends at
+most ``tol``, and a panel narrower than ``PANEL_ULPS`` ulps of its
+endpoints that still misses it raises ``NonConvergence`` instead of being
+refined further. Principal-value integrals fold the two sides of the pole
+together, so the odd singular part cancels pointwise and no excision
+parameter survives.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -74,7 +72,7 @@ _WG = (
     0.417959183673469,
 )
 
-# an integrand value: one float, or a 1-D ndarray of entries on shared panels
+# a result: one float, or a 1-D ndarray of entries on shared panels
 Entries = Union[float, np.ndarray]
 
 DEFAULT_TOL = 1e-9
@@ -82,7 +80,7 @@ DEFAULT_MAX_EVALS = 2_000_000
 # a panel this many ulps of its endpoints wide is not refined: its 15 nodes
 # collapse onto a few floats and K15 - G7 no longer measures its error
 PANEL_ULPS = 64
-# most nodes x entries one vectorized call takes
+# most nodes x entries one call of f takes
 MAX_BATCH = 8192
 
 
@@ -125,111 +123,28 @@ class DivergenceClass:
         return f"{self.tag.value}({self.sign_of_tail})"
 
 
-def _gk15(f: Callable[[float], Entries], a: float, b: float) -> tuple[Entries, Entries]:
-    """Kronrod-15 estimate and |K15 - G7| error on [a, b], entry by entry."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _WK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        xh = h * _XK[i]
-        s = f(c - xh) + f(c + xh)
-        resk += _WK[i] * s
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * s
-    resk *= h
-    resg *= h
-    err = abs(resk - resg)
-    return resk, err
-
-
 def integrate_interval(
-    f: Callable,
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
     split_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
-    *,
-    vectorized: bool = False,
 ) -> IntegralResult:
-    """Adaptive GK15 integral of f over the finite interval [a, b].
+    """Adaptive GK15 integral of f over the finite interval [a, b], a < b.
 
-    ``f`` returns a float, or a 1-D ndarray of entries that share one set of
-    panels. Each panel keeps its error per entry; the panel with the largest
-    entry error is bisected next, until every entry's summed error is at
-    most ``tol``. The value and error estimate of the result are then
-    ndarrays, and ``evaluations`` counts calls of ``f``.
-
-    With ``vectorized=True`` ``f`` maps a 1-D ndarray of nodes to shape
-    ``(n,)`` (a float result) or ``(n, m)`` (ndarray results of shape
-    ``(m,)``), panels are refined in rounds, and ``evaluations`` counts
-    nodes. Raises NonConvergence, carrying the partial result, when the
-    budget runs out or a panel at machine width misses the tolerance.
+    Every entry's summed error estimate ends at most ``tol``. Raises
+    NonConvergence, carrying the partial result, when the budget runs out
+    or a panel at machine width misses the tolerance.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    edges = sorted({a, b, *(p for p in split_points if a < p < b)})
-    if vectorized:
-        value, err, evals, ndim = _refine_batched(
-            f, np.array(edges), np.zeros(len(edges) - 1, dtype=np.intp), tol, max_evals)
-        return _batched_result(value[0], err[0], evals, True, ndim)
-    # (-largest entry error, lo, hi, value, error); lo is unique, so the
-    # heap never compares the entries themselves
-    panels: list[tuple[float, float, float, Entries, Entries]] = []
-    evals = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, lo, hi)
-        evals += 15
-        heapq.heappush(panels, (-_largest(err), lo, hi, val, err))
-    vector = isinstance(panels[0][3], np.ndarray)
-    while True:
-        total_err = sum(p[4] for p in panels)
-        if (total_err <= tol).all() if vector else total_err <= tol:
-            break
-        if evals + 30 > max_evals:
-            raise NonConvergence(
-                f"quadrature budget exhausted: error {_largest(total_err):.3e} > tol {tol:.3e}",
-                _partial(panels, total_err, evals),
-            )
-        _, lo, hi, val, err = heapq.heappop(panels)
-        if hi - lo < PANEL_ULPS * math.ulp(max(abs(lo), abs(hi))):
-            heapq.heappush(panels, (-_largest(err), lo, hi, val, err))
-            raise NonConvergence(
-                _unresolvable(lo, hi, _largest(err), tol), _partial(panels, total_err, evals))
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        evals += 30
-        heapq.heappush(panels, (-_largest(e1), lo, mid, v1, e1))
-        heapq.heappush(panels, (-_largest(e2), mid, hi, v2, e2))
-    # deterministic summation order: by panel position
-    ordered = sorted(panels, key=lambda p: p[1])
-    value = _fsum([p[3] for p in ordered])
-    total_err = _fsum([p[4] for p in ordered])
-    return IntegralResult(value, total_err, evals, True)
-
-
-def _largest(err: Entries) -> float:
-    return float(err.max()) if isinstance(err, np.ndarray) else err
-
-
-def _fsum(terms: list[Entries]) -> Entries:
-    # correctly rounded sum, entry by entry for ndarray terms
-    if isinstance(terms[0], np.ndarray):
-        return np.array([math.fsum(column) for column in zip(*terms)])
-    return math.fsum(terms)
-
-
-def _partial(panels: list, total_err: Entries, evals: int) -> IntegralResult:
-    value = _fsum([p[3] for p in sorted(panels, key=lambda p: p[1])])
-    return IntegralResult(value, total_err, evals, False)
-
-
-def _unresolvable(lo: float, hi: float, err: float, tol: float) -> str:
-    return (f"panel [{float(lo)!r}, {float(hi)!r}] at machine width still has error {err:.3e} "
-            f"(tol {tol:.3e})")
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError("interval must satisfy a < b, both finite")
+    edges = np.array(sorted({a, b, *(p for p in split_points if a < p < b)}))
+    value, err, evals, ndim = _refine_batched(
+        f, edges, np.zeros(len(edges) - 1, dtype=np.intp), tol, max_evals)
+    return _result(value[0], err[0], evals, True, ndim)
 
 
 # the 15 Kronrod nodes on [-1, 1] in ascending order; the rows of _RULES,
@@ -245,7 +160,7 @@ _RULES[1] = _RULES[0] - _RULES[1]
 _RULES = _RULES[:, :, None]
 
 
-def _gk15_batched(f: Callable, lo: np.ndarray, hi: np.ndarray, m: int):
+def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray, m: int):
     """K15 values and |K15 - G7| errors, shape (panels, entries), of the
     panels [lo, hi], with at most MAX_BATCH node-entries per call of f.
 
@@ -280,7 +195,7 @@ def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
     """
     lo, hi = edges[:-1], edges[1:]
     n_seg = int(seg[-1]) + 1
-    val, err, ndim = _gk15_batched(f, lo, hi, 1)
+    val, err, ndim = _gk15(f, lo, hi, 1)
     evals = 15 * len(lo)
     while True:
         seg_err = _segment_sums(seg, err, n_seg)
@@ -305,13 +220,14 @@ def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
                            f"> tol {tol:.3e}")
             else:
                 i = pick[np.argmax(narrow)]
-                message = _unresolvable(lo[i], hi[i], worst[i], tol)
-            partial = _batched_result(val.sum(axis=0), err.sum(axis=0), evals, False, ndim)
+                message = (f"panel [{float(lo[i])!r}, {float(hi[i])!r}] at machine width "
+                           f"still has error {worst[i]:.3e} (tol {tol:.3e})")
+            partial = _result(val.sum(axis=0), err.sum(axis=0), evals, False, ndim)
             raise NonConvergence(message, partial)
         mid = 0.5 * (p_lo + p_hi)
         new_lo = np.concatenate((p_lo, mid))
         new_hi = np.concatenate((mid, p_hi))
-        new_val, new_err, _ = _gk15_batched(f, new_lo, new_hi, val.shape[1])
+        new_val, new_err, _ = _gk15(f, new_lo, new_hi, val.shape[1])
         evals += 15 * len(new_lo)
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
@@ -338,7 +254,7 @@ def _to_bisect(err: np.ndarray, worst: np.ndarray, total: np.ndarray, tol: float
     return order[:np.count_nonzero(~(left <= 0.5 * tol).all(axis=1))]
 
 
-def _batched_result(value, err, evals, converged, ndim) -> IntegralResult:
+def _result(value, err, evals, converged, ndim) -> IntegralResult:
     # a (n,) integrand gives floats, a (n, m) one ndarrays of shape (m,)
     if ndim == 1:
         return IntegralResult(float(value[0]), float(err[0]), evals, converged)
@@ -346,49 +262,27 @@ def _batched_result(value, err, evals, converged, ndim) -> IntegralResult:
 
 
 def integrate_semi_infinite(
-    f: Callable,
+    f: Callable[[np.ndarray], np.ndarray],
     tol: float = DEFAULT_TOL,
     split_points: Sequence[float] = (),
     max_evals: int = DEFAULT_MAX_EVALS,
-    *,
-    vectorized: bool = False,
 ) -> IntegralResult:
-    """Adaptive integral of f over (0, inf) via the map x = t/(1-t).
-
-    As in :func:`integrate_interval`, ``f`` may return a 1-D ndarray of
-    entries integrated on shared panels, each to absolute error ``tol``, and
-    ``vectorized=True`` declares that ``f`` takes a 1-D ndarray of nodes.
-    """
+    """Adaptive integral of f over (0, inf) via the map x = t/(1-t), each
+    entry to absolute error ``tol`` as in :func:`integrate_interval`."""
     mapped = [p / (1.0 + p) for p in split_points if p > 0.0]
-    if vectorized:
 
-        def g(t: np.ndarray) -> np.ndarray:
-            u = 1.0 - t
-            if u.min() > 0.0:
-                return _over_u2(f(t / u), u)
-            inside = u > 0.0
-            # t = 1 (a node of a panel at machine width next to 1) adds 0
-            y = _over_u2(f(t[inside] / u[inside]), u[inside])
-            out = np.zeros((len(t),) + y.shape[1:])
-            out[inside] = y
-            return out
-
-        return integrate_interval(g, 0.0, 1.0, tol=tol, split_points=mapped,
-                                  max_evals=max_evals, vectorized=True)
-
-    def g(t: float) -> Entries:
+    def g(t: np.ndarray) -> np.ndarray:
         u = 1.0 - t
-        if u > 0.0:
-            return f(t / u) / (u * u)
-        # t = 1 (a node of a panel at machine width next to 1) adds a zero
-        # shaped like the entries, which the node below 1 shows
-        y = g(_BELOW_ONE)
-        return np.zeros_like(y) if isinstance(y, np.ndarray) else 0.0
+        if u.min() > 0.0:
+            return _over_u2(f(t / u), u)
+        inside = u > 0.0
+        # t = 1 (a node of a panel at machine width next to 1) adds 0
+        y = _over_u2(f(t[inside] / u[inside]), u[inside])
+        out = np.zeros((len(t),) + y.shape[1:])
+        out[inside] = y
+        return out
 
     return integrate_interval(g, 0.0, 1.0, tol=tol, split_points=mapped, max_evals=max_evals)
-
-
-_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 def _over_u2(y, u: np.ndarray) -> np.ndarray:
@@ -398,7 +292,7 @@ def _over_u2(y, u: np.ndarray) -> np.ndarray:
 
 
 def principal_value_integral(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     singularity: float,
     tol: float = DEFAULT_TOL,
     split_points: Sequence[float] = (),
@@ -408,18 +302,19 @@ def principal_value_integral(
 
     The window symmetric about the pole is folded, u -> f(s+u) + f(s-u),
     which cancels the odd pole part exactly; the remainder of the half line
-    is integrated as usual.
+    is integrated as usual. ``f`` maps nodes to shape ``(n,)``, and
+    ``evaluations`` counts the nodes passed to it.
     """
     s = singularity
     if not s > 0.0:
         raise ValueError("singularity must lie on the positive half line")
     h = 0.5 * s
 
-    def folded(u: float) -> float:
+    def folded(u: np.ndarray) -> np.ndarray:
         return f(s + u) + f(s - u)
 
     # residual blow-up check: the folded integrand must be bounded near 0
-    probe = [abs(folded(h * 10.0 ** (-k))) for k in (4, 6, 8)]
+    probe = np.abs(folded(h * np.array([1e-4, 1e-6, 1e-8]))).tolist()
     if probe[2] > 1e4 * (1.0 + probe[0]) and probe[2] > 1e4 * (1.0 + probe[1]):
         raise SingularityMisdeclared(
             f"integrand not regularized by folding about x={s}: {probe}"
@@ -433,7 +328,7 @@ def principal_value_integral(
         max_evals=budget,
     )
 
-    def right_tail(u: float) -> float:
+    def right_tail(u: np.ndarray) -> np.ndarray:
         return f(s + h + u)
 
     right = integrate_semi_infinite(
@@ -443,7 +338,8 @@ def principal_value_integral(
     )
     value = left.value + inner.value + right.value
     err = left.abs_error_estimate + inner.abs_error_estimate + right.abs_error_estimate
-    evals = left.evaluations + inner.evaluations + right.evaluations + 45
+    # the folded integrand takes f at two nodes per node, the probe at six
+    evals = left.evaluations + 2 * inner.evaluations + right.evaluations + 6
     return IntegralResult(value, err, evals, True)
 
 
@@ -452,32 +348,23 @@ def classify_tail(
     window: tuple[float, float] = (10.0, 1e6),
     n_panels: int = 12,
     tol: float = 1e-6,
-    *,
-    vectorized: bool = False,
 ) -> DivergenceClass | tuple[DivergenceClass, ...]:
     """Classify the large-x behaviour of int f by geometric panel ratios.
 
     Panel integrals over a geometric progression of subintervals decay
     geometrically for convergent tails, stay constant for a 1/x tail, and
-    grow geometrically for slower-than-1/x decay.
-
-    With ``vectorized=True`` ``f`` takes a 1-D ndarray of nodes: the window
-    panels go through one call and are refined together, each to ``tol``.
-    An ``(n, m)`` integrand gets a tuple of ``m`` classes, one per entry.
+    grow geometrically for slower-than-1/x decay. The window panels go
+    through one call and are refined together, each to ``tol``. An
+    ``(n, m)`` integrand gets a tuple of ``m`` classes, one per entry.
     """
     lo, hi = window
-    if not (0.0 < lo < hi):
-        raise ValueError("window must satisfy 0 < lo < hi")
+    if not (0.0 < lo < hi < math.inf):
+        raise ValueError("window must satisfy 0 < lo < hi, hi finite")
     edges = [lo * (hi / lo) ** (i / n_panels) for i in range(n_panels + 1)]
-    if vectorized:
-        panels, _, _, ndim = _refine_batched(
-            f, np.array(edges), np.arange(n_panels), tol, 200_000 * n_panels)
-        classes = tuple(_classify(column.tolist()) for column in panels.T)
-        return classes[0] if ndim == 1 else classes
-    return _classify([
-        integrate_interval(f, a, b, tol=tol, max_evals=200_000).value
-        for a, b in zip(edges[:-1], edges[1:])
-    ])
+    panels, _, _, ndim = _refine_batched(
+        f, np.array(edges), np.arange(n_panels), tol, 200_000 * n_panels)
+    classes = tuple(_classify(column.tolist()) for column in panels.T)
+    return classes[0] if ndim == 1 else classes
 
 
 def _classify(panels: list[float]) -> DivergenceClass:

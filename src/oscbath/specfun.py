@@ -1,18 +1,13 @@
-"""Exponential integrals in overflow-safe scaled form, plus the analytic
-continuations needed by the exponentially-cut-off and extended-Drude damping
-kernels.
+"""Exponential integrals in overflow-safe scaled form, plus the
+branch-unifying arctan ratio of the extended-Drude n = 2 closed form.
 
-Only real positive arguments are supported; the complex continuation of E1
-onto the negative axis is exposed explicitly through
-:func:`e1_negative_continuation` with the side of the cut selected by the
-caller. The scaled integrals also take a 1-D ndarray of arguments:
-:func:`exp_e1_ei` evaluates both of them at every node with one piece
-selection per node and one stacked recurrence.
+Only real positive arguments are supported. The scaled integrals also take
+a 1-D ndarray of arguments: :func:`exp_e1_ei` evaluates both of them at
+every node with one piece selection per node and one stacked recurrence.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -22,10 +17,6 @@ __all__ = [
     "exp_e1",
     "exp_neg_ei",
     "exp_e1_ei",
-    "e1",
-    "ei",
-    "e1_negative_continuation",
-    "arccos_c",
     "arctan_ratio",
 ]
 
@@ -285,44 +276,6 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
     return e1s, eis
 
 
-def e1(x: float) -> float:
-    """Unscaled E1(x); overflows for x beyond ~700 are the caller's problem."""
-    return exp_e1(x) * math.exp(-x)
-
-
-def ei(x: float) -> float:
-    """Unscaled Ei(x) for x > 0."""
-    return exp_neg_ei(x) * math.exp(x)
-
-
-def e1_negative_continuation(y: float, side: str) -> complex:
-    """Boundary value E1(-y +- i0+) = -Ei(y) -+ i pi for y > 0.
-
-    ``side`` is ``"above"`` (approach from Im > 0) or ``"below"``.
-    """
-    if not y > 0.0:
-        raise ValueError(f"e1_negative_continuation requires y > 0, got {y}")
-    if side == "above":
-        return complex(-ei(y), -math.pi)
-    if side == "below":
-        return complex(-ei(y), math.pi)
-    raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-
-
-def arccos_c(y: float) -> complex:
-    """arccos extended to all real arguments, continuous across y = 1.
-
-    Real branch on [-1, 1]; for y > 1 the purely imaginary value
-    -i*ln(y + sqrt(y^2 - 1)), which joins the under- and overdamped closed
-    forms of the Drude-family free energies.
-    """
-    if -1.0 <= y <= 1.0:
-        return complex(math.acos(y), 0.0)
-    if y > 1.0:
-        return complex(0.0, -math.acosh(y))
-    return complex(math.pi, math.acosh(-y))
-
-
 def arctan_ratio(w0: float, gamma: float) -> float:
     """(1/w1) arctan(2 w1/gamma) with w1^2 = w0^2 - (gamma/2)^2.
 
@@ -342,11 +295,3 @@ def arctan_ratio(w0: float, gamma: float) -> float:
         return math.atan2(2.0 * w1, gamma) / w1 if gamma == 0.0 else math.atan(2.0 * w1 / gamma) / w1
     wb1 = math.sqrt(-disc)
     return math.log((gamma + 2.0 * wb1) / (gamma - 2.0 * wb1)) / (2.0 * wb1)
-
-
-def _arctan_ratio_complex(w0: float, gamma: float) -> complex:
-    # reference evaluation through the complex plane, used by the tests
-    w1 = cmath.sqrt(complex(w0 * w0 - 0.25 * gamma * gamma))
-    if abs(w1) == 0.0:
-        return complex(2.0 / gamma)
-    return cmath.atan(2.0 * w1 / gamma) / w1

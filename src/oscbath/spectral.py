@@ -2,11 +2,11 @@
 frequency-domain boundary values gamma_plus(w), and validity classification.
 
 Five families are supported: strict Ohmic, Drude (Lorentzian cutoff),
-exponential cutoff, extended Ohmic with an extra power p, and extended Drude
-with an extra power n. Odd powers (p odd; n odd with n >= 3) have
-distributional kernels with no usable frequency-domain transform and are
-rejected; p = 2 and even n >= 4 are well defined but carry a log-divergent
-second-law deficit.
+exponential cutoff, extended Ohmic with an extra power (omega/gamma_o)^p,
+and extended Drude with an extra power n. Odd powers (p odd; n odd with
+n >= 3) have distributional kernels with no usable frequency-domain
+transform and are rejected; p = 2 and even n >= 4 are well defined but
+carry a log-divergent second-law deficit.
 """
 
 from __future__ import annotations
@@ -90,6 +90,8 @@ class Exponential:
 
 @dataclass(frozen=True)
 class ExtendedOhmic:
+    """J(w) = M gamma_o w (w/gamma_o)^p."""
+
     gamma_o: float
     p: int
 
@@ -323,8 +325,9 @@ def gamma_plus_generic(
     w = _require_positive("omega", omega)
     re = j_omega(model, M, w) / (M * w)
 
-    def integrand(wp: float) -> float:
-        jw = j_omega(model, M, wp)
+    def integrand(wp: np.ndarray) -> np.ndarray:
+        # J node by node through j_omega, independent of boundary_kernel
+        jw = np.array([j_omega(model, M, x) for x in wp.tolist()])
         return (jw / wp) * (1.0 / (wp + w) - 1.0 / (wp - w)) / math.pi
 
     splits = [w / 2, 2 * w]

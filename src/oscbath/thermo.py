@@ -239,7 +239,7 @@ def k_drude_lambda(
     l0 = omega_0 / gamma_o
     ld = omega_d / gamma_o
 
-    def integrand(lam: float) -> float:
+    def integrand(lam: np.ndarray) -> np.ndarray:
         lam2 = lam * lam
         num = 2.0 * ld * ld * lam2 * lam2 * lam - (2.0 * l0 * l0 + ld) * ld * ld * lam2 * lam
         a = (lam2 + ld * ld) * (lam2 - l0 * l0) - ld * lam2
@@ -296,7 +296,7 @@ def _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals):
     r0 = (omega_0 / omega_e).ravel()
     splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
     res = integrate_semi_infinite(
-        integrand, tol=tol, split_points=splits, max_evals=max_evals, vectorized=True)
+        integrand, tol=tol, split_points=splits, max_evals=max_evals)
     return unpack(res.value), float(res.abs_error_estimate.sum())
 
 
@@ -343,7 +343,7 @@ def _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals):
 
     splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
     res = integrate_semi_infinite(
-        integrand, tol=tol, split_points=splits, max_evals=max_evals, vectorized=True)
+        integrand, tol=tol, split_points=splits, max_evals=max_evals)
     scale = hbar * gamma_o / (2.0 * math.pi)
     return unpack(scale * res.value), scale * float(res.abs_error_estimate.sum())
 
@@ -463,7 +463,7 @@ def _continuous(
     out = {}
     if classified:
         classes = classify_tail(_integrand(model, omega_0, classified),
-                                window=_tail_window(model, omega_0), vectorized=True)
+                                window=_tail_window(model, omega_0))
         out = {c: cls for c, cls in zip(classified, classes)
                if cls.tag is not DivergenceTag.CONVERGENT}
     columns = tuple(sorted({*classified, *integrated} - out.keys()))
@@ -471,7 +471,7 @@ def _continuous(
         return out, 0.0
     res = integrate_semi_infinite(
         _integrand(model, omega_0, columns), tol=tol,
-        split_points=_split_points(model, omega_0), max_evals=max_evals, vectorized=True)
+        split_points=_split_points(model, omega_0), max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
     out.update((c, scale * float(v)) for c, v in zip(columns, res.value))
     return out, scale * float(res.abs_error_estimate.sum())
@@ -513,7 +513,7 @@ def k_cont(
         return 0.0
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
         k = _integrand(model, omega_0, (_K,))
-        return classify_tail(k, window=_tail_window(model, omega_0), vectorized=True)[0]
+        return classify_tail(k, window=_tail_window(model, omega_0))[0]
     return _continuous(model, omega_0, (), (_K,), hbar, tol, max_evals)[0][_K]
 
 
@@ -537,7 +537,7 @@ def thermo_report(
         raise InvalidModel(str(status))
     if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
         es, f0, k = classify_tail(_integrand(model, omega_0),
-                                  window=_tail_window(model, omega_0), vectorized=True)
+                                  window=_tail_window(model, omega_0))
         return ThermoReport(
             E_s0=es, F0=f0, K=k, method="divergence-classification",
             error_estimate=0.0, model_status=status, K_normalized=None,
