@@ -43,7 +43,10 @@ def _emit(rows: list[list[str]], header: list[str], fmt: str, out_path: str | No
         lines = [
             "  ".join(h.ljust(w) for h, w in zip(header, widths)),
         ] + ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
-    text = "\n".join(lines) + "\n"
+    _write("\n".join(lines) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", newline="\n") as fh:
             fh.write(text)
@@ -52,16 +55,11 @@ def _emit(rows: list[list[str]], header: list[str], fmt: str, out_path: str | No
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        model = parse_model(args.model)
-        rep = thermo.thermo_report(
-            model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol,
-            max_evals=args.max_evals,
-        )
-    except ValueError as exc:
-        # InvalidModel, UnsupportedKernel and bad input
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = parse_model(args.model)
+    rep = thermo.thermo_report(
+        model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol,
+        max_evals=args.max_evals,
+    )
 
     def render(v) -> str:
         return str(v) if isinstance(v, DivergenceClass) else _fmt(v)
@@ -79,12 +77,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines.append(f"K*pi/(gamma_o*E_g): {_fmt(rep.K * math.pi / (model.gamma_o * e_g))}")
     lines.append(f"method: {rep.method}")
     lines.append(f"error_estimate: {_fmt(rep.error_estimate)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -214,12 +207,7 @@ def cmd_discrete(args: argparse.Namespace) -> int:
         f"oracle_mode_residual: {_fmt(mode_resid)}",
         f"oracle_E_s_residual: {_fmt(abs(oracle.E_s - es) / es)}",
     ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -277,45 +265,75 @@ def _check_line(failures: list[str], name: str, ok: bool, detail: str) -> None:
         failures.append(name)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=1.0)
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--max-evals", type=int, default=DEFAULT_MAX_EVALS,
-                        help="integrand evaluations per integral (report, table1, table2, check)")
-    common.add_argument("--format", choices=("csv", "table"), default="csv")
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--seed", type=int, default=None)
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind`` of the text, rejected unless ``ok``."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
 
+    parse.__name__ = kind.__name__  # argparse's "invalid <type> value" message
+    return parse
+
+
+_POSITIVE_FLOAT = _checked(float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "positive")
+_COUNT = _checked(int, lambda v: v >= 0, "nonnegative")
+
+
+def _option(name: str, **kwargs) -> tuple[str, argparse.ArgumentParser]:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(name, **kwargs)
+    return name, parent
+
+
+# the options that several subcommands share, as parent parsers built once;
+# each subcommand takes only the ones it reads
+_SHARED = dict((
+    _option("--hbar", type=_POSITIVE_FLOAT, default=1.0),
+    _option("--tol", type=_POSITIVE_FLOAT, default=1e-9),
+    _option("--max-evals", type=_POSITIVE_INT, default=DEFAULT_MAX_EVALS,
+            help="integrand evaluations per integral"),
+    _option("--format", choices=("csv", "table"), default="csv"),
+    _option("--out", default=None, help="write output to this path"),
+    _option("--seed", type=int, default=None),
+))
+
+
+def _subcommand(sub, name: str, func, shared: str, summary: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=summary, parents=[_SHARED[o] for o in shared.split()])
+    p.set_defaults(func=func)
+    return p
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscbath",
         description="Zero-temperature oscillator-bath thermodynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("report", parents=[common], help="one continuous model")
+    p = _subcommand(sub, "report", cmd_report, "--hbar --tol --max-evals --out",
+                    "one continuous model")
     p.add_argument("--model", required=True, help='e.g. "drude g=1 wd=5"')
     p.add_argument("--omega0", type=float, required=True)
     p.add_argument("--mass", type=float, default=1.0)
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("table1", parents=[common], help="exponential-cutoff grid")
-    p.set_defaults(func=cmd_table1)
-    p = sub.add_parser("table2", parents=[common], help="Drude-family grid")
-    p.set_defaults(func=cmd_table2)
-    p = sub.add_parser("fig1", parents=[common], help="weakly divergent family curves")
-    p.set_defaults(func=cmd_fig1)
+    grid = "--hbar --tol --max-evals --format --out"
+    _subcommand(sub, "table1", cmd_table1, grid, "exponential-cutoff grid")
+    _subcommand(sub, "table2", cmd_table2, grid, "Drude-family grid")
+    _subcommand(sub, "fig1", cmd_fig1, "--hbar --format --out", "weakly divergent family curves")
 
-    p = sub.add_parser("discrete", parents=[common], help="finite-bath report")
+    p = _subcommand(sub, "discrete", cmd_discrete, "--hbar --out --seed", "finite-bath report")
     p.add_argument("bathfile", nargs="?", default=None)
-    p.add_argument("--random", type=int, default=None, metavar="N",
+    p.add_argument("--random", type=_POSITIVE_INT, default=None, metavar="N",
                    help="run the invariant suite on random baths with up to N oscillators")
-    p.add_argument("--count", type=int, default=20)
-    p.set_defaults(func=cmd_discrete)
+    p.add_argument("--count", type=_COUNT, default=20)
 
-    p = sub.add_parser("check", parents=[common], help="full property suite")
-    p.add_argument("--baths", type=int, default=200)
-    p.set_defaults(func=cmd_check)
+    p = _subcommand(sub, "check", cmd_check, "--hbar --tol --max-evals --seed",
+                    "full property suite")
+    p.add_argument("--baths", type=_COUNT, default=200)
     return parser
 
 
@@ -327,7 +345,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NonConvergence, Inconclusive) as exc:
+    except (NonConvergence, Inconclusive, ValueError) as exc:
+        # ValueError covers bad input: InvalidModel, UnsupportedKernel,
+        # DegenerateBath, BathParseError and values out of range
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
 """Exponential integrals in overflow-safe scaled form, plus the
-branch-unifying arctan ratio of the extended-Drude n = 2 closed form.
+branch-unifying arctan ratio of the Drude-family closed forms.
 
 Only real positive arguments are supported. The scaled integrals also take
 a 1-D ndarray of arguments: :func:`exp_e1_ei` evaluates both of them at
@@ -277,21 +277,22 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
 
 
 def arctan_ratio(w0: float, gamma: float) -> float:
-    """(1/w1) arctan(2 w1/gamma) with w1^2 = w0^2 - (gamma/2)^2.
+    """(1/w1) arctan(2 w1/gamma) = arccos(gamma/2 w0)/w1, w1^2 = w0^2 - (gamma/2)^2.
 
     Even in w1, hence single-valued across the damping regimes: for
-    w0 <= gamma/2 it equals (1/(2 wb1)) ln((gamma + 2 wb1)/(gamma - 2 wb1))
-    with wb1^2 = (gamma/2)^2 - w0^2.
+    w0 < gamma/2 it equals asinh(wb1/w0)/wb1 with wb1^2 = -w1^2. Both
+    forms, and w1^2 taken as a product, keep full relative accuracy.
     """
     if w0 <= 0.0 or gamma < 0.0:
         raise ValueError("arctan_ratio requires w0 > 0 and gamma >= 0")
-    disc = w0 * w0 - 0.25 * gamma * gamma
+    half = 0.5 * gamma
+    disc = (w0 - half) * (w0 + half)
     scale = max(w0, gamma)
     if abs(disc) < 1e-12 * scale * scale:
         # series of arctan(z)/z about the critical point
         return 2.0 / gamma * (1.0 - (4.0 * disc / (gamma * gamma)) / 3.0)
     if disc > 0.0:
         w1 = math.sqrt(disc)
-        return math.atan2(2.0 * w1, gamma) / w1 if gamma == 0.0 else math.atan(2.0 * w1 / gamma) / w1
+        return math.atan2(w1, half) / w1
     wb1 = math.sqrt(-disc)
-    return math.log((gamma + 2.0 * wb1) / (gamma - 2.0 * wb1)) / (2.0 * wb1)
+    return math.asinh(wb1 / w0) / wb1

@@ -1,10 +1,12 @@
 """Continuous damping families: spectral densities J(w), time-domain kernels,
 frequency-domain boundary values gamma_plus(w), and validity classification.
 
-Five families are supported: strict Ohmic, Drude (Lorentzian cutoff),
-exponential cutoff, extended Ohmic with an extra power (omega/gamma_o)^p,
-and extended Drude with an extra power n. Odd powers (p odd; n odd with
-n >= 3) have distributional kernels with no usable frequency-domain
+Three families are written out: exponential cutoff, extended Ohmic with an
+extra power (omega/gamma_o)^p, and extended Drude with an extra power
+(omega/omega_d)^n. Strict Ohmic (``Ohmic``) is the p = 0 member and Drude
+(Lorentzian cutoff, ``Drude``) the n = 0 member: subclasses that fix the
+power, so every dispatch on a family covers them. Odd powers (p odd; n odd
+with n >= 3) have distributional kernels with no usable frequency-domain
 transform and are rejected; p = 2 and even n >= 4 are well defined but
 carry a log-divergent second-law deficit.
 """
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -61,24 +63,6 @@ def _require_positive(name: str, value: float) -> float:
 
 
 @dataclass(frozen=True)
-class Ohmic:
-    gamma_o: float
-
-    def __post_init__(self):
-        _require_positive("gamma_o", self.gamma_o)
-
-
-@dataclass(frozen=True)
-class Drude:
-    gamma_o: float
-    omega_d: float
-
-    def __post_init__(self):
-        _require_positive("gamma_o", self.gamma_o)
-        _require_positive("omega_d", self.omega_d)
-
-
-@dataclass(frozen=True)
 class Exponential:
     gamma_o: float
     omega_e: float
@@ -102,7 +86,14 @@ class ExtendedOhmic:
 
 
 @dataclass(frozen=True)
+class Ohmic(ExtendedOhmic):
+    p: int = field(default=0, init=False, repr=False)
+
+
+@dataclass(frozen=True)
 class ExtendedDrude:
+    """J(w) = M gamma_o w (w/omega_d)^n omega_d^2 / (w^2 + omega_d^2)."""
+
     gamma_o: float
     omega_d: float
     n: int
@@ -114,7 +105,12 @@ class ExtendedDrude:
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
 
 
-SpectralModel = Union[Ohmic, Drude, Exponential, ExtendedOhmic, ExtendedDrude]
+@dataclass(frozen=True)
+class Drude(ExtendedDrude):
+    n: int = field(default=0, init=False, repr=False)
+
+
+SpectralModel = Union[Exponential, ExtendedOhmic, ExtendedDrude]
 
 
 class StatusTag(enum.Enum):
@@ -167,6 +163,15 @@ def classify_model(model: SpectralModel) -> ModelStatus:
     return ModelStatus(StatusTag.VALID)
 
 
+def _cutoffs(model: SpectralModel) -> list[float]:
+    """The model's cutoff frequency, if it has one."""
+    if isinstance(model, ExtendedDrude):
+        return [model.omega_d]
+    if isinstance(model, Exponential):
+        return [model.omega_e]
+    return []
+
+
 def _reject_invalid(model: SpectralModel) -> None:
     status = classify_model(model)
     if status.tag is StatusTag.INVALID_KERNEL:
@@ -178,17 +183,12 @@ def j_omega(model: SpectralModel, M: float, omega: float) -> float:
     _reject_invalid(model)
     w = _require_positive("omega", omega)
     g = model.gamma_o
-    if isinstance(model, Ohmic):
-        return M * g * w
-    if isinstance(model, Drude):
-        wd = model.omega_d
-        return M * g * w * wd * wd / (w * w + wd * wd)
     if isinstance(model, Exponential):
         return M * g * w * math.exp(-w / model.omega_e)
     if isinstance(model, ExtendedOhmic):
         return M * g * w * (w / g) ** model.p
     wd = model.omega_d
-    return M * g * w ** (model.n + 1) / (wd ** (model.n - 2) * (w * w + wd * wd))
+    return M * g * w * (w / wd) ** model.n * wd * wd / (w * w + wd * wd)
 
 
 def gamma_t(model: SpectralModel, t: float) -> float:
@@ -196,7 +196,7 @@ def gamma_t(model: SpectralModel, t: float) -> float:
     _require_positive("t", t)
     _reject_invalid(model)
     g = model.gamma_o
-    if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
+    if isinstance(model, ExtendedDrude) and model.n == 0:
         return g * model.omega_d * math.exp(-model.omega_d * t)
     if isinstance(model, Exponential):
         we = model.omega_e
@@ -228,11 +228,11 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     """
     _reject_invalid(model)
     g = model.gamma_o
-    if isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0):
-        return lambda w: (g + 0j * w, 0j * w)
-    if isinstance(model, ExtendedOhmic) and model.p == 2:
-        return lambda w: (w * w / g + 0j, 2.0 * w / g + 0j)
     if isinstance(model, ExtendedOhmic):
+        if model.p == 0:
+            return lambda w: (g + 0j * w, 0j * w)
+        if model.p == 2:
+            return lambda w: (w * w / g + 0j, 2.0 * w / g + 0j)
         raise UnsupportedKernel(
             f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
         )
@@ -249,9 +249,8 @@ def boundary_kernel(model: SpectralModel) -> Callable:
 
         return exponential
     wd = model.omega_d
-    n = model.n if isinstance(model, ExtendedDrude) else 0
     gwd = g * wd
-    if n == 0:
+    if model.n == 0:
 
         def drude(w):
             c = wd - 1j * w
@@ -259,7 +258,7 @@ def boundary_kernel(model: SpectralModel) -> Callable:
             return gd, 1j * gd / c
 
         return drude
-    if n == 1:
+    if model.n == 1:
         wd2 = wd * wd
         c_log = 2.0 / math.pi
 
@@ -272,7 +271,7 @@ def boundary_kernel(model: SpectralModel) -> Callable:
                     gwd * (du + 1j * (c_log * (du * lg + u / w))))
 
         return drude1
-    if n == 2:
+    if model.n == 2:
 
         def drude2(w):
             # Ohmic minus Drude
@@ -330,11 +329,7 @@ def gamma_plus_generic(
         jw = np.array([j_omega(model, M, x) for x in wp.tolist()])
         return (jw / wp) * (1.0 / (wp + w) - 1.0 / (wp - w)) / math.pi
 
-    splits = [w / 2, 2 * w]
-    if isinstance(model, (Drude, ExtendedDrude)):
-        splits.append(model.omega_d)
-    elif isinstance(model, Exponential):
-        splits.append(model.omega_e)
+    splits = [w / 2, 2 * w, *_cutoffs(model)]
     res = principal_value_integral(integrand, w, tol=tol, split_points=splits)
     return complex(re, res.value / M)
 
@@ -392,9 +387,9 @@ def parse_model(text: str) -> SpectralModel:
             raise ValueError(
                 f"unknown parameter '{key}' for model '{name}' at position {pos}"
             )
-        field = keymap[key]
+        attr = keymap[key]
         try:
-            kwargs[field] = int(raw) if field in ("p", "n") else float(raw)
+            kwargs[attr] = int(raw) if attr in ("p", "n") else float(raw)
         except ValueError as exc:
             raise ValueError(f"bad numeric value '{raw}' at position {pos}") from exc
     missing = set(keymap.values()) - set(kwargs)

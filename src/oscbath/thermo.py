@@ -7,8 +7,8 @@ exponential-cutoff, and extended-Drude models, providing the independent
 cross-checks the tables demand.
 
 Closed Drude-family forms are written in regime-free real arithmetic
-(asin/asinh pairs sharing a boundary series), so a single expression serves
-both the underdamped (w0 > gamma/2) and overdamped regimes and is continuous
+(through :func:`specfun.arctan_ratio`), so a single expression serves both
+the underdamped (w0 > gamma/2) and overdamped regimes and is continuous
 across the boundary.
 """
 
@@ -29,15 +29,14 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 from .spectral import (
-    Drude,
     Exponential,
     ExtendedDrude,
     ExtendedOhmic,
     InvalidModel,
     ModelStatus,
-    Ohmic,
     SpectralModel,
     StatusTag,
+    _cutoffs,
     _require_positive,
     boundary_kernel,
     classify_model,
@@ -162,29 +161,10 @@ def drude_params_to_physical(
 # Drude closed forms, written to be regime-free
 
 
-def _acos_ratio(w0: float, gamma: float) -> float:
-    """arccos(gamma/2 w0) / w1 with w1^2 = w0^2 - (gamma/2)^2.
-
-    Even in w1 and analytic through the critical damping point: equals
-    asin(x)/(w0 x) with x = w1/w0 underdamped and asinh(x)/(w0 x) with
-    x = wb1/w0 overdamped, with a shared series at the boundary.
-    """
-    disc = w0 * w0 - 0.25 * gamma * gamma
-    u = disc / (w0 * w0)
-    if abs(u) < 1e-8:
-        # asin(x)/x = 1 + x^2/6 + 3 x^4/40 + ... with x^2 = u
-        return (1.0 + u / 6.0 + 3.0 * u * u / 40.0) / w0
-    if disc > 0.0:
-        x = math.sqrt(u)
-        return math.asin(x) / (w0 * x)
-    x = math.sqrt(-u)
-    return math.asinh(x) / (w0 * x)
-
-
 def _drude_im_chi_integrals(params: DrudeParams) -> tuple[float, float]:
     """M * int Im chi dw and M * int w^2 Im chi dw for the Drude model."""
     w0, Om, g = params.w0, params.Omega, params.gamma
-    t = _acos_ratio(w0, g)
+    t = specfun.arctan_ratio(w0, g)
     lg = math.log(Om / w0)
     den = w0 * w0 - Om * g + Om * Om
     i0 = ((w0 * w0 + Om * Om - 0.5 * g * g) * t - g * lg) / den
@@ -219,7 +199,7 @@ def _f_drude_params(params: DrudeParams, hbar: float = 1.0) -> float:
     w1sq = w0 * w0 - 0.25 * g * g
     val = ((Om + g) * math.log((Om + g) / Om)
            + g * math.log(Om / w0)
-           + 2.0 * w1sq * _acos_ratio(w0, g))
+           + 2.0 * w1sq * specfun.arctan_ratio(w0, g))
     return hbar / (2.0 * math.pi) * val
 
 
@@ -392,19 +372,6 @@ def k_extended_drude2_closed(
 # Generic quadrature paths (fluctuation-dissipation / log-derivative / Eq-31)
 
 
-def _cutoffs(model: SpectralModel) -> list[float]:
-    """The model's cutoff frequency, if it has one."""
-    if isinstance(model, (Drude, ExtendedDrude)):
-        return [model.omega_d]
-    if isinstance(model, Exponential):
-        return [model.omega_e]
-    return []
-
-
-def _split_points(model: SpectralModel, omega_0: float) -> list[float]:
-    return [omega_0, 2.0 * omega_0, *_cutoffs(model)]
-
-
 def _tail_window(model: SpectralModel, omega_0: float) -> tuple[float, float]:
     return 30.0 * max([omega_0, *_cutoffs(model)]), 1e8
 
@@ -471,10 +438,15 @@ def _continuous(
         return out, 0.0
     res = integrate_semi_infinite(
         _integrand(model, omega_0, columns), tol=tol,
-        split_points=_split_points(model, omega_0), max_evals=max_evals)
+        split_points=[omega_0, 2.0 * omega_0, *_cutoffs(model)], max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
     out.update((c, scale * float(v)) for c, v in zip(columns, res.value))
     return out, scale * float(res.abs_error_estimate.sum())
+
+
+def _require_system(M: float, omega_0: float) -> None:
+    _require_positive("M", M)
+    _require_positive("omega_0", omega_0)
 
 
 def system_energy_0_cont(
@@ -483,6 +455,7 @@ def system_energy_0_cont(
 ) -> EnergyOrDivergent:
     """E_s(0) by the fluctuation-dissipation integral over Im of the
     susceptibility; divergent families return their divergence class."""
+    _require_system(M, omega_0)
     return _continuous(model, omega_0, (_ES,), (), hbar, tol, max_evals)[0][_ES]
 
 
@@ -491,12 +464,13 @@ def free_energy_0_cont(
     hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> EnergyOrDivergent:
     """F(0) by the logarithmic-derivative integrand w * Im(-G'/G)."""
+    _require_system(M, omega_0)
     return _continuous(model, omega_0, (_F,), (), hbar, tol, max_evals)[0][_F]
 
 
 def _k_vanishes(model: SpectralModel) -> bool:
     # Ohmic damping: the K integrand vanishes pointwise
-    return isinstance(model, Ohmic) or (isinstance(model, ExtendedOhmic) and model.p == 0)
+    return isinstance(model, ExtendedOhmic) and model.p == 0
 
 
 def k_cont(
@@ -509,6 +483,7 @@ def k_cont(
     delta-weight families return the divergence class of the integrand on
     the finite part of their kernel, a negative logarithmic divergence.
     """
+    _require_system(M, omega_0)
     if _k_vanishes(model):
         return 0.0
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
@@ -530,8 +505,7 @@ def thermo_report(
     ValueError when ``M`` or ``omega_0`` is not positive and finite, and
     NonConvergence when an integral misses ``tol`` within its budget.
     """
-    _require_positive("M", M)
-    _require_positive("omega_0", omega_0)
+    _require_system(M, omega_0)
     status = classify_model(model)
     if status.tag is StatusTag.INVALID_KERNEL:
         raise InvalidModel(str(status))
@@ -543,7 +517,7 @@ def thermo_report(
             error_estimate=0.0, model_status=status, K_normalized=None,
         )
     err = 0.0
-    if isinstance(model, Drude) or (isinstance(model, ExtendedDrude) and model.n == 0):
+    if isinstance(model, ExtendedDrude) and model.n == 0:
         params = drude_params_from_physical(omega_0, model.omega_d, model.gamma_o)
         es = _es_drude_params(params, omega_0, hbar)
         f0 = _f_drude_params(params, hbar)

@@ -10,6 +10,13 @@ omega0 1.0
 1.0 2.0 1.0
 """
 
+DEGENERATE_BATH = """\
+M 1.0
+omega0 1.0
+1.0 1.0 1.0
+1.0 1.00000000000001 1.0
+"""
+
 
 class TestReport:
     def test_drude_report(self, capsys):
@@ -203,3 +210,31 @@ class TestCheck:
         assert "all checks passed" in out
         assert out.count("[ok]") == 6
         assert "[FAIL]" not in out
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--tol", "-1"],
+        ["table2", "--tol", "0"],
+        ["check", "--tol", "-1"],
+        ["table1", "--max-evals", "0"],
+        ["fig1", "--hbar", "-1"],
+        ["report", "--model", "ohmic g=1", "--omega0", "1", "--hbar", "inf"],
+        ["discrete", "--random", "0", "--seed", "1"],
+        ["discrete", "--random", "4", "--seed", "1", "--count", "-1"],
+        ["check", "--baths", "-1"],
+        ["discrete", "DEGENERATE_BATH"],
+        # options a subcommand does not read are rejected
+        ["check", "--baths", "1", "--out", "check.txt"],
+        ["fig1", "--tol", "1e-3"],
+    ])
+    def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "DEGENERATE_BATH").write_text(DEGENERATE_BATH)
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "check.txt").exists()

@@ -142,6 +142,22 @@ class TestArctanRatio:
             math.pi / 4.0, rel=1e-14
         )
 
+    def test_relative_accuracy_over_damping_ratios(self):
+        # against arccos(gamma/2w0)/w1, or arccosh(gamma/2w0)/wb1 when
+        # overdamped, at 40 digits: gamma/w0 from 1e-8 to 1e9 and close to
+        # the critical value 2
+        ratios = [10.0 ** (k / 8) for k in range(-64, 73)]
+        ratios += [2.0 * (1.0 + s * e) for s in (-1, 1) for e in (1e-3, 1e-7, 1e-10, 1e-13)]
+        with mp.workdps(40):
+            for w0 in (0.37, 1.0, 300.0):
+                for r in ratios:
+                    g = r * w0
+                    x = mp.mpf(g) / (2 * mp.mpf(w0))
+                    d = mp.mpf(w0) ** 2 - mp.mpf(g) ** 2 / 4
+                    ref = mp.acos(x) / mp.sqrt(d) if d > 0 else mp.acosh(x) / mp.sqrt(-d)
+                    v = specfun.arctan_ratio(w0, g)
+                    assert v == pytest.approx(float(ref), rel=1e-14), (w0, g)
+
     @given(
         st.floats(min_value=0.05, max_value=20.0),
         st.floats(min_value=0.0, max_value=40.0),

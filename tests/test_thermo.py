@@ -417,8 +417,11 @@ class TestThermoReport:
         assert thermo.thermo_report(ExtendedOhmic(1.0, 2), 1.0, 1.0).error_estimate == 0.0
 
     def test_rejects_bad_mass_and_frequency(self):
+        entry_points = (thermo.thermo_report, thermo.system_energy_0_cont,
+                        thermo.free_energy_0_cont, thermo.k_cont)
         for model in (Drude(1.0, 5.0), Exponential(1.0, 5.0)):
             for M, w0 in [(1.0, -1.0), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
                           (0.0, 1.0), (-2.0, 1.0)]:
-                with pytest.raises(ValueError, match="positive finite"):
-                    thermo.thermo_report(model, M, w0)
+                for entry in entry_points:
+                    with pytest.raises(ValueError, match="positive finite"):
+                        entry(model, M, w0)
