@@ -164,17 +164,21 @@ def cmd_discrete(args: argparse.Namespace) -> int:
         if args.seed is None:
             print("error: --random requires --seed", file=sys.stderr)
             return 1
+        count = 20 if args.count is None else args.count
         rng = np.random.default_rng(args.seed)
         failures = 0
-        for i in range(args.count):
+        for i in range(count):
             bath = discrete.random_bath(rng, n_max=args.random)
             violations = discrete.invariant_violations(bath, hbar=args.hbar)
             if violations:
                 failures += 1
                 for v in violations:
                     print(f"bath {i} (N={bath.n}): {v}")
-        print(f"random suite: {args.count - failures}/{args.count} baths pass")
+        print(f"random suite: {count - failures}/{count} baths pass")
         return 0 if failures == 0 else 2
+    if args.seed is not None or args.count is not None:
+        print("error: --seed and --count act only with --random", file=sys.stderr)
+        return 1
     if args.bathfile is None:
         print("error: provide a bath file or --random", file=sys.stderr)
         return 1
@@ -329,7 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("bathfile", nargs="?", default=None)
     p.add_argument("--random", type=_POSITIVE_INT, default=None, metavar="N",
                    help="run the invariant suite on random baths with up to N oscillators")
-    p.add_argument("--count", type=_COUNT, default=20)
+    p.add_argument("--count", type=_COUNT, default=None,
+                   help="number of random baths (default 20)")
 
     p = _subcommand(sub, "check", cmd_check, "--hbar --tol --max-evals --seed",
                     "full property suite")

@@ -1,14 +1,28 @@
 """Exact zero-temperature thermodynamics of an oscillator coupled to a
-finite bath: normal modes by bracketed bisection with interlacing, coupling
-free energy, excess system energy by residues, the second-law deficit K with
-its residue decomposition, and an independent eigen-decomposition oracle.
+finite bath: normal modes from the secular equation, coupling free energy,
+excess system energy by residues, the second-law deficit K with its residue
+decomposition, and an independent eigen-decomposition oracle.
+
+The squared normal-mode frequencies lam are the roots of the secular function
+
+    s(lam) = 1 - sum_i z_i / (lam - d_i),
+
+with poles d = (0, omega_1^2, ..., omega_N^2) and weights
+z = (omega_0^2, kappa_1/M, ..., kappa_N/M), where kappa_j = c_j^2/(m_j omega_j^2).
+s rises monotonically between consecutive poles, so each bracket
+(d_k, d_k+1), and (d_N, d_N + omega_0^2 + gamma(0)) above the last pole,
+holds exactly one root (Bunch, Nielsen & Sorensen 1978). Every root is
+stored as an offset from the nearer end of its bracket, as LAPACK ``dlaed4``
+does (Gu & Eisenstat 1995), so lam_k - d_i keeps full relative accuracy
+even for a mode next to a bath pole. The residue weight of mode k is
+1/(lam_k s'(lam_k)), with s' = sum_i z_i/(lam_k - d_i)^2: a sum of positive
+terms, which is also the squared system component of the normal mode.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +45,8 @@ __all__ = [
     "invariant_violations",
 ]
 
-POLE_COINCIDENCE_RTOL = 1e-9
-
-
 class DegenerateBath(ValueError):
-    """Bracket collapse or pole coincidence beyond the resolvable tolerance."""
+    """A bracket narrower than the resolvable tolerance."""
 
 
 class BathParseError(ValueError):
@@ -87,16 +98,18 @@ class DiscreteBath:
 
 @dataclass(frozen=True)
 class NormalModes:
+    """The N+1 normal modes, one per interlacing bracket.
+
+    Squared frequency k is lam_k = d[origins[k]] + offsets[k], with d the
+    poles of the secular function; ``weights`` holds the residue weights
+    1/(lam_k s'(lam_k)).
+    """
+
     frequencies: tuple[float, ...]
     brackets: tuple[tuple[float, float], ...]
-    # extended-precision copies of the roots; the residue sums of
-    # k_second_law cancel heavily and need the extra digits
-    frequencies_hi: tuple = ()
-
-    def hi(self) -> np.ndarray:
-        if self.frequencies_hi:
-            return np.array(self.frequencies_hi, dtype=np.longdouble)
-        return np.array(self.frequencies, dtype=np.longdouble)
+    origins: tuple[int, ...]
+    offsets: tuple[float, ...]
+    weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -123,114 +136,99 @@ def gamma_zero(bath: DiscreteBath) -> float:
     return float(np.sum(bath.coupling_weights)) / bath.M
 
 
-def _d_chi_raw(bath: DiscreteBath, omega, dtype=float):
-    """Susceptibility denominator in product form, dtype-generic.
-
-    Accepts float, longdouble, or complex longdouble omega so the same code
-    serves bisection, extended-precision polishing, and complex-step
-    differentiation.
-    """
-    lam = omega * omega
-    w2 = bath.bath_frequencies.astype(dtype) ** 2
-    kappa = bath.coupling_weights.astype(dtype)
-    diffs = lam - w2
-    first = (lam - dtype(bath.omega_0) ** 2) * np.prod(diffs)
-    # sum_j kappa_j * prod_{j' != j} diffs[j'] via prefix/suffix products
-    n = bath.n
-    prefix = np.ones(n + 1, dtype=diffs.dtype)
-    np.cumprod(diffs, out=prefix[1:])
-    suffix = np.ones(n + 1, dtype=diffs.dtype)
-    suffix[:-1] = np.cumprod(diffs[::-1])[::-1]
-    second = np.sum(kappa * prefix[:-1] * suffix[1:])
-    return first - lam * second / dtype(bath.M)
+def _secular(bath: DiscreteBath) -> tuple[np.ndarray, np.ndarray]:
+    """Poles d and weights z of the secular function."""
+    d = np.concatenate(([0.0], bath.bath_frequencies ** 2))
+    z = np.concatenate(([bath.omega_0 ** 2], bath.coupling_weights / bath.M))
+    return d, z
 
 
 def d_chi(bath: DiscreteBath, omega: float) -> float:
-    """Denominator polynomial of the susceptibility, evaluated in product form."""
-    return float(_d_chi_raw(bath, float(omega)))
+    """Denominator polynomial of the susceptibility, evaluated in product form.
+
+    A diagnostic only: the solver works on the secular function. Raises
+    ArithmeticError when the products leave the float range, which happens
+    for a few hundred oscillators.
+    """
+    lam = float(omega) ** 2
+    diffs = lam - bath.bath_frequencies ** 2
+    kappa = bath.coupling_weights
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            first = (lam - bath.omega_0 ** 2) * np.prod(diffs)
+            # sum_j kappa_j prod_{j' != j} diffs[j'] via prefix/suffix products
+            prefix = np.ones(bath.n + 1)
+            np.cumprod(diffs, out=prefix[1:])
+            suffix = np.ones(bath.n + 1)
+            suffix[:-1] = np.cumprod(diffs[::-1])[::-1]
+            return float(first - lam * np.sum(kappa * prefix[:-1] * suffix[1:]) / bath.M)
+    except FloatingPointError:
+        raise ArithmeticError(
+            f"d_chi: product form leaves the float range at omega = {omega:g}, "
+            f"N = {bath.n}"
+        ) from None
 
 
-def _brackets(bath: DiscreteBath) -> list[tuple[float, float]]:
-    w = bath.bath_frequencies
-    hi = (w[-1] if bath.n else 0.0) + math.sqrt(gamma_zero(bath)) + bath.omega_0
-    edges = [0.0, *w, hi]
-    return list(zip(edges[:-1], edges[1:]))
+def _pole_gaps(d: np.ndarray, origins: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """lam_k - d_i for every root k and pole i, from the offsets.
+
+    (d[origins[k]] - d_i) + offsets[k] is offsets[k] exactly in the origin's
+    own column, so a root next to a pole keeps its relative accuracy.
+    """
+    return (d[origins, None] - d) + offsets[:, None]
 
 
 def normal_modes(bath: DiscreteBath) -> NormalModes:
     """All N+1 normal-mode frequencies, one per interlacing bracket.
 
-    Bisection on the susceptibility denominator inside each bracket, followed
-    by Newton polishing; the interlacing theorem guarantees exactly one root
-    per bracket.
+    Bisects every bracket of the secular equation at once. One sweep at the
+    midpoints picks each root's origin, the end of its bracket nearer the
+    root (always the last pole for the root above it); the bisection then
+    runs on the offset from that origin until |s| is below its rounding
+    bound or the bracket has shrunk to adjacent floats.
     """
     if bath.n == 0:
-        return NormalModes((bath.omega_0,), ((bath.omega_0, bath.omega_0),))
-    roots = []
-    brackets = _brackets(bath)
-    scale = max(bath.omega_0, float(bath.bath_frequencies[-1]))
-    for lo, hi in brackets:
-        a, b = lo, hi
-        fa = d_chi(bath, a) if a > 0.0 else d_chi(bath, 1e-30)
-        fb = d_chi(bath, b)
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fb == 0.0:
-            roots.append(b)
-            continue
-        if fa * fb > 0.0:
-            raise DegenerateBath(
-                f"no sign change in bracket ({lo:.6g}, {hi:.6g}); "
-                "frequencies too close to degeneracy"
-            )
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if b - a < 1e-9 * scale or mid == a or mid == b:
-                break
-            fm = d_chi(bath, mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if fa * fm < 0.0:
-                b, fb = mid, fm
-            else:
-                a, fa = mid, fm
-        root = 0.5 * (a + b)
-        if hi - lo < 1e-13 * scale:
-            raise DegenerateBath(
-                f"bracket ({lo:.6g}, {hi:.6g}) collapsed below resolution"
-            )
-        roots.append(root)
-    roots_hi = [_polish_root(bath, r, lo, hi) for r, (lo, hi) in zip(roots, brackets)]
+        w0 = bath.omega_0
+        return NormalModes((w0,), ((w0, w0),), (0,), (w0 * w0,), (1.0,))
+    n = bath.n
+    d, z = _secular(bath)
+    top = d[-1] + math.fsum(z)  # sum rule: the largest root lies below this
+    edges = np.sqrt(np.append(d, top))
+    brackets = tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
+    narrow = np.flatnonzero(np.diff(edges) < 1e-13 * max(bath.omega_0, edges[-2]))
+    if narrow.size:
+        lo, hi = brackets[narrow[0]]
+        raise DegenerateBath(f"bracket ({lo:.6g}, {hi:.6g}) collapsed below resolution")
+
+    k = np.arange(n + 1)
+    width = np.append(np.diff(d), top - d[-1])
+    mid = 0.5 * width
+    above = np.sum(z / _pole_gaps(d, k, mid), axis=1) > 1.0  # s(midpoint) < 0
+    origins = k + (above & (k < n))
+    shift = d[origins] - d[k]
+    lo = np.where(above, mid, 0.0) - shift
+    hi = np.where(above, width, mid) - shift
+    base = d[origins, None] - d
+    tau = 0.5 * (lo + hi)
+    active = np.ones(n + 1, dtype=bool)
+    eps = np.finfo(float).eps
+    while True:
+        gaps = base + tau[:, None]
+        r = z / gaps
+        s = 1.0 - r.sum(axis=1)
+        lo = np.where(s < 0.0, tau, lo)
+        hi = np.where(s > 0.0, tau, hi)
+        bound = 8.0 * eps * (1.0 + np.abs(r).sum(axis=1))
+        active &= (np.abs(s) > bound) & (np.nextafter(lo, hi) < hi)
+        if not active.any():
+            break
+        tau = np.where(active, 0.5 * (lo + hi), tau)
+    lam = d[origins] + tau
+    ds = np.sum(r / gaps, axis=1)  # s'(lam) at the final offsets
     return NormalModes(
-        tuple(float(r) for r in roots_hi), tuple(brackets), tuple(roots_hi)
+        tuple(np.sqrt(lam).tolist()), brackets, tuple(origins.tolist()),
+        tuple(tau.tolist()), tuple((1.0 / (lam * ds)).tolist()),
     )
-
-
-def _polish_root(bath: DiscreteBath, root: float, lo: float, hi: float):
-    """Newton-polish a bisection root in 80-bit precision.
-
-    The derivative comes from a complex step, which has no subtractive
-    cancellation, so the root is accurate to the extended-precision epsilon.
-    """
-    x = np.longdouble(root)
-    for _ in range(4):
-        h = np.longdouble(1e-24) * x
-        fc = _d_chi_raw(bath, np.clongdouble(x + 1j * h), dtype=np.clongdouble)
-        f0 = np.real(fc)
-        f1 = np.imag(fc) / h
-        if f1 == 0.0:
-            break
-        step = f0 / f1
-        cand = x - step
-        if not (lo <= float(cand) <= hi):
-            break
-        if cand == x:
-            x = cand
-            break
-        x = cand
-    return x
 
 
 def free_energy_0(bath: DiscreteBath, modes: NormalModes, hbar: float = 1.0) -> float:
@@ -240,29 +238,11 @@ def free_energy_0(bath: DiscreteBath, modes: NormalModes, hbar: float = 1.0) -> 
     )
 
 
-def _residue_weights(bath: DiscreteBath, modes: NormalModes) -> np.ndarray:
-    """prod_j (wbar_k^2 - w_j^2) / prod_{k' != k} (wbar_k^2 - wbar_k'^2).
-
-    Evaluated in extended precision; near-coincidences between modes and bath
-    poles make these products cancellation-prone.
-    """
-    wb2 = modes.hi() ** 2
-    w2 = bath.bath_frequencies.astype(np.longdouble) ** 2
-    weights = np.empty(len(wb2), dtype=np.longdouble)
-    for k, lam in enumerate(wb2):
-        num = np.prod(lam - w2)
-        den = np.prod(np.delete(lam - wb2, k))
-        weights[k] = num / den
-    return weights
-
-
 def system_energy_0(bath: DiscreteBath, modes: NormalModes, hbar: float = 1.0) -> float:
     """Excess-bearing system energy at T=0 from the residue sum over modes."""
-    wb = modes.hi()
-    weights = _residue_weights(bath, modes)
-    w02 = np.longdouble(bath.omega_0) ** 2
-    terms = (w02 + wb * wb) / wb * weights
-    return float(0.25 * np.longdouble(hbar) * np.sum(terms))
+    wb = np.array(modes.frequencies)
+    terms = (bath.omega_0 ** 2 + wb * wb) / wb * np.array(modes.weights)
+    return 0.25 * hbar * math.fsum(terms)
 
 
 def k_second_law(
@@ -271,48 +251,26 @@ def k_second_law(
     """Second-law deficit K = F(0) - E_s(0) with its residue decomposition.
 
     The residue sum runs over every simple pole of the contour integrand on
-    the positive real axis: the normal-mode poles (each individually
-    nonnegative) and the bath-frequency poles. Terms whose pole coincides
-    with a normal mode carry no residue and are skipped.
+    the positive real axis: the normal-mode poles, each a sum of positive
+    terms, and the bath-frequency poles, each exactly -hbar omega_l/2 (from
+    prod_k (omega_l^2 - lam_k) = lam s(lam) prod_j (lam - omega_j^2) at
+    lam = omega_l^2). Each omega_l - wbar_k is taken from the offsets as
+    -(lam_k - omega_l^2)/(omega_l + wbar_k), so no term cancels.
     """
     K = free_energy_0(bath, modes, hbar) - system_energy_0(bath, modes, hbar)
-    wb = modes.hi()
-    wb2 = wb * wb
-    w = bath.bath_frequencies.astype(np.longdouble)
-    w2 = w * w
-    kappa = bath.coupling_weights.astype(np.longdouble)
-    M = np.longdouble(bath.M)
-    hb = np.longdouble(hbar)
-
-    def coincident(a, b) -> bool:
-        return abs(a - b) < POLE_COINCIDENCE_RTOL * a
-
-    mode_terms = []
-    a1 = wb * _residue_weights(bath, modes)
-    for k in range(len(wb)):
-        a2 = np.longdouble(0.0)
-        for l in range(bath.n):
-            if coincident(w[l], wb[k]):
-                continue
-            a2 += kappa[l] * 0.5 * (
-                1.0 / (w[l] + wb[k]) ** 2 + 1.0 / (w[l] - wb[k]) ** 2
-            )
-        mode_terms.append(hb / (4.0 * M) * a1[k] * a2)
-
-    bath_terms = []
-    for l in range(bath.n):
-        if any(coincident(w[l], wb[k]) for k in range(len(wb))):
-            bath_terms.append(np.longdouble(0.0))
-            continue
-        num = kappa[l] * w[l] ** 3 * np.prod(np.delete(w2[l] - w2, l))
-        den = np.prod(w2[l] - wb2)
-        bath_terms.append(hb / (2.0 * M) * num / den)
-    residue_total = float(np.sum(mode_terms) + np.sum(bath_terms))
+    wb = np.array(modes.frequencies)
+    w = bath.bath_frequencies
+    d, z = _secular(bath)
+    gaps = _pole_gaps(d, np.array(modes.origins), np.array(modes.offsets))[:, 1:]
+    plus = w + wb[:, None]
+    a2 = np.sum(z[1:] * (1.0 / plus ** 2 + (plus / gaps) ** 2), axis=1)
+    mode_terms = 0.125 * hbar * wb * np.array(modes.weights) * a2
+    bath_terms = -0.5 * hbar * w
     return SecondLawReport(
         K=K,
-        per_mode_terms=tuple(float(t) for t in mode_terms),
-        per_bath_pole_terms=tuple(float(t) for t in bath_terms),
-        residue_total=residue_total,
+        per_mode_terms=tuple(mode_terms.tolist()),
+        per_bath_pole_terms=tuple(bath_terms.tolist()),
+        residue_total=math.fsum([*mode_terms, *bath_terms]),
     )
 
 

@@ -191,6 +191,22 @@ class TestDiscrete:
         assert rc == 0
         assert "random suite: 10/10 baths pass" in out
 
+    def test_random_seed1_suite_passes(self, capsys):
+        # baths 10 and 46 of this stream have a mode within 1e-8 of a bath pole
+        rc = main(["discrete", "--random", "12", "--seed", "1", "--count", "200"])
+        assert rc == 0
+        assert "random suite: 200/200 baths pass" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [["--seed", "3"], ["--count", "5"]])
+    def test_random_options_need_random(self, extra, tmp_path, capsys):
+        path = tmp_path / "bath.txt"
+        path.write_text(GOOD_BATH)
+        rc = main(["discrete", str(path), *extra])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--random" in captured.err
+
     def test_random_requires_seed(self, capsys):
         rc = main(["discrete", "--random", "8"])
         assert rc == 1

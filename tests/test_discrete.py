@@ -1,7 +1,10 @@
 """Exact finite-bath thermodynamics: worked N=1 example with an inline
-quadratic oracle, the seeded random property suite, and parser contracts."""
+quadratic oracle, the seeded random property suite, large baths against the
+eigen-decomposition oracle, and parser contracts."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,6 +139,11 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             DiscreteBath(0.0, 1.0, ())
 
+    def test_d_chi_overflow_raises(self):
+        bath = DiscreteBath(1.0, 1.0, tuple((1.0, float(w), 1.0) for w in range(100, 500)))
+        with pytest.raises(ArithmeticError, match="float range"):
+            d_chi(bath, 1e3)
+
     def test_mode_above_and_below(self):
         # omega_0 well inside the bath band: interlacing still isolates roots
         bath = DiscreteBath(1.0, 1.0, ((1.0, 0.5, 0.3), (1.0, 2.0, 0.4)))
@@ -154,6 +162,50 @@ class TestPropertySuite:
             if violations:
                 failures.append((i, bath.n, violations))
         assert not failures, failures[:3]
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_seed_sweep(self, seed):
+        """Seed 0 is the 200-bath stream of ``oscbath check``; 20 more seeds
+        contribute 50 baths each."""
+        rng = np.random.default_rng(seed)
+        failures = []
+        for i in range(200 if seed == 0 else 50):
+            violations = invariant_violations(random_bath(rng))
+            if violations:
+                failures.append((i, violations))
+        assert not failures, failures[:3]
+
+
+def grid_bath(n: int, seed: int = 0) -> DiscreteBath:
+    """n oscillators on a jittered grid over [0.5, 2], with gamma(0) = 2 omega_0^2."""
+    rng = np.random.default_rng(seed)
+    h = 1.5 / n
+    freqs = 0.5 + h * (np.arange(n) + 0.1 + 0.8 * rng.uniform(size=n))
+    masses = 10.0 ** rng.uniform(-0.5, 0.5, size=n)
+    couplings = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+    couplings *= math.sqrt(2.0 / np.sum(couplings ** 2 / (masses * freqs ** 2)))
+    return DiscreteBath(
+        1.0, 1.0, tuple(zip(masses.tolist(), freqs.tolist(), couplings.tolist()))
+    )
+
+
+class TestLargeBaths:
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_oracle_agreement(self, n):
+        # the suite compares modes and E_s with the eigh oracle at rel 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert invariant_violations(grid_bath(n)) == []
+
+    def test_mutated_mode_is_reported(self, monkeypatch):
+        bath = grid_bath(256)
+        modes = normal_modes(bath)
+        wb = list(modes.frequencies)
+        wb[100] *= 1.0 + 1e-6
+        mutated = dataclasses.replace(modes, frequencies=tuple(wb))
+        monkeypatch.setattr("oscbath.discrete.normal_modes", lambda _: mutated)
+        violations = invariant_violations(bath)
+        assert any("oracle mode-frequency mismatch" in v for v in violations)
 
 
 class TestParser:
