@@ -6,7 +6,8 @@ energy F(0), and the second-law deficit K = F(0) - E_s(0) for discrete baths
 (exactly, by normal modes and residues) and for five continuous damping
 families (Ohmic, Drude, exponential cutoff, extended Ohmic, extended Drude),
 with closed forms, special one-dimensional integrands, and generic adaptive
-quadrature cross-checking each other.
+quadrature cross-checking each other. A continuous-bath report takes all
+three numbers from one generic integral, or from the Drude closed form.
 """
 
 from .discrete import (

@@ -106,7 +106,6 @@ class NormalModes:
     """
 
     frequencies: tuple[float, ...]
-    brackets: tuple[tuple[float, float], ...]
     origins: tuple[int, ...]
     offsets: tuple[float, ...]
     weights: tuple[float, ...]
@@ -189,15 +188,14 @@ def normal_modes(bath: DiscreteBath) -> NormalModes:
     """
     if bath.n == 0:
         w0 = bath.omega_0
-        return NormalModes((w0,), ((w0, w0),), (0,), (w0 * w0,), (1.0,))
+        return NormalModes((w0,), (0,), (w0 * w0,), (1.0,))
     n = bath.n
     d, z = _secular(bath)
     top = d[-1] + math.fsum(z)  # sum rule: the largest root lies below this
     edges = np.sqrt(np.append(d, top))
-    brackets = tuple(zip(edges[:-1].tolist(), edges[1:].tolist()))
     narrow = np.flatnonzero(np.diff(edges) < 1e-13 * max(bath.omega_0, edges[-2]))
     if narrow.size:
-        lo, hi = brackets[narrow[0]]
+        lo, hi = edges[narrow[0]], edges[narrow[0] + 1]
         raise DegenerateBath(f"bracket ({lo:.6g}, {hi:.6g}) collapsed below resolution")
 
     k = np.arange(n + 1)
@@ -226,7 +224,7 @@ def normal_modes(bath: DiscreteBath) -> NormalModes:
     lam = d[origins] + tau
     ds = np.sum(r / gaps, axis=1)  # s'(lam) at the final offsets
     return NormalModes(
-        tuple(np.sqrt(lam).tolist()), brackets, tuple(origins.tolist()),
+        tuple(np.sqrt(lam).tolist()), tuple(origins.tolist()),
         tuple(tau.tolist()), tuple((1.0 / (lam * ds)).tolist()),
     )
 

@@ -2,9 +2,10 @@
 
 Generic quadrature paths give the excess energy E_s(0), the coupling free
 energy F(0), and the second-law deficit K for any valid damping family;
-specialized closed forms and one-dimensional integrands cover the Drude,
-exponential-cutoff, and extended-Drude models, providing the independent
-cross-checks the tables demand.
+:func:`thermo_report` takes all three from one shared-panel integral, or
+from the closed form for Drude. Closed forms and one-dimensional
+integrands for the Drude, exponential-cutoff, and extended-Drude models
+compute the tables and serve as independent references for K.
 
 Closed Drude-family forms are written in regime-free real arithmetic
 (through :func:`specfun.arctan_ratio`), so a single expression serves both
@@ -29,7 +30,6 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 from .spectral import (
-    Exponential,
     ExtendedDrude,
     ExtendedOhmic,
     InvalidModel,
@@ -253,11 +253,6 @@ def k_exponential(
     entry keeps the bound ``tol``; the result is an ndarray of the broadcast
     shape.
     """
-    return _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals)[0]
-
-
-def _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals):
-    # k_exponential and the summed error estimate of its K entries
     (omega_e, gamma_o), unpack = _entries(omega_e, gamma_o)
     we2 = omega_e * omega_e
     w0sq = omega_0 ** 2
@@ -277,7 +272,7 @@ def _k_exponential(omega_0, omega_e, gamma_o, hbar, tol, max_evals):
     splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
     res = integrate_semi_infinite(
         integrand, tol=tol, split_points=splits, max_evals=max_evals)
-    return unpack(res.value), float(res.abs_error_estimate.sum())
+    return unpack(res.value)
 
 
 def _entries(*params: ArrayLike):
@@ -302,11 +297,6 @@ def k_extended_drude1(
     and ``omega_d`` give a float; array-like ones broadcast into one
     shared-panel integral, as in :func:`k_exponential`.
     """
-    return _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals)[0]
-
-
-def _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals):
-    # k_extended_drude1 and the summed error estimate of its K entries
     (l0, ld), unpack = _entries(np.divide(omega_0, gamma_o), np.divide(omega_d, gamma_o))
     ld2 = ld * ld
     l02 = l0 * l0
@@ -324,8 +314,7 @@ def _k_extended_drude1(omega_0, omega_d, gamma_o, hbar, tol, max_evals):
     splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
     res = integrate_semi_infinite(
         integrand, tol=tol, split_points=splits, max_evals=max_evals)
-    scale = hbar * gamma_o / (2.0 * math.pi)
-    return unpack(scale * res.value), scale * float(res.abs_error_estimate.sum())
+    return unpack(hbar * gamma_o / (2.0 * math.pi) * res.value)
 
 
 def k_extended_drude2_closed(
@@ -342,9 +331,11 @@ def k_extended_drude2_closed(
         return 0.0
     delta = Omega * gamma - Omega * Omega - w0 * w0
     scale = max(w0 * w0, Omega * Omega, Omega * gamma)
-    if abs(delta) < 1e-7 * scale:
+    if abs(delta) < 2e-5 * scale:
         # Removable singularity: C below vanishes together with delta, so
         # evaluate C/delta as (1/Omega) dC/dgamma at the interval midpoint.
+        # That errs by about 4e-2 (delta/scale)^2, the direct form by about
+        # 4e-16 / (delta/scale) from cancellation in C; they cross near 2e-5.
         gm = gamma - 0.5 * delta / Omega
         at = specfun.arctan_ratio(w0, gm)
         w1sq = w0 * w0 - 0.25 * gm * gm
@@ -496,7 +487,8 @@ def thermo_report(
     model: SpectralModel, M: float, omega_0: float,
     hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> ThermoReport:
-    """Full report: E_s(0), F(0), K, with the best available method per model.
+    """Full report: E_s(0), F(0), K from the Drude closed form, from one
+    generic integral, or as divergence classes.
 
     ``error_estimate`` is the summed absolute error estimate of the
     integrals behind the reported numbers, in energy units; 0 for closed
@@ -524,23 +516,12 @@ def thermo_report(
         k = f0 - es
         method = "closed-form"
     else:
-        exponential = isinstance(model, Exponential)
-        drude1 = isinstance(model, ExtendedDrude) and model.n == 1
-        generic_k = not (exponential or drude1 or _k_vanishes(model))
-        values, err = _continuous(model, omega_0, (_ES, _F), (_K,) if generic_k else (),
+        k_zero = _k_vanishes(model)
+        values, err = _continuous(model, omega_0, (_ES, _F), () if k_zero else (_K,),
                                   hbar, tol, max_evals)
         es, f0 = values[_ES], values[_F]
-        method = "special-integrand"
-        if exponential:
-            k, k_err = _k_exponential(omega_0, model.omega_e, model.gamma_o, hbar, tol, max_evals)
-            err += k_err
-        elif drude1:
-            k, k_err = _k_extended_drude1(
-                omega_0, model.omega_d, model.gamma_o, hbar, tol, max_evals)
-            err += k_err
-        else:
-            k = values[_K] if generic_k else 0.0
-            method = "generic-quadrature"
+        k = values.get(_K, 0.0)
+        method = "generic-quadrature"
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None
     return ThermoReport(
         E_s0=es, F0=f0, K=k, method=method,

@@ -3,6 +3,7 @@ integrands, generic quadrature, and the cross-checks tying them together."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,33 @@ class TestExtendedDrude2:
             thermo.k_extended_drude2_closed(w0, Om, g_star), abs=1e-10
         )
 
+    def test_relative_accuracy_near_removable_singularity(self):
+        # both branches of the closed form against the same expression in
+        # 50-digit arithmetic, at gamma = gamma_c (1 +- e) around the
+        # singular set Omega gamma_c = Omega^2 + w0^2
+        def closed_mp(w0, Om, g):
+            w0, Om, g = mp.mpf(w0), mp.mpf(Om), mp.mpf(g)
+            disc = w0 * w0 - g * g / 4
+            if disc > 0:
+                at = mp.atan2(mp.sqrt(disc), g / 2) / mp.sqrt(disc)
+            else:
+                at = mp.asinh(mp.sqrt(-disc) / w0) / mp.sqrt(-disc)
+            C = (g * (w0 * w0 - Om * Om) * at
+                 + (Om * Om + w0 * w0 - Om * g) * mp.log(Om * g + w0 * w0)
+                 - 2 * (Om * Om + w0 * w0) * mp.log(w0) + 2 * Om * g * mp.log(Om))
+            delta = Om * g - Om * Om - w0 * w0
+            return Om * w0 * w0 / ((Om * g + w0 * w0) * delta) * C / (2 * mp.pi)
+
+        with mp.workdps(50):
+            for w0, Om in [(0.3, 1.0), (1.0, 2.0), (1.0, 0.5), (1.0, 10.0),
+                           (2.0, 1.0), (1.0, 5.0)]:
+                g_c = (Om * Om + w0 * w0) / Om
+                for e in (1e-8, 1e-7, 1e-6, 1e-5, 2e-5, 5e-5, 1e-4, 1e-3):
+                    for g in (g_c * (1.0 - e), g_c * (1.0 + e)):
+                        got = thermo.k_extended_drude2_closed(w0, Om, g)
+                        want = closed_mp(w0, Om, g)
+                        assert abs((got - want) / want) < 1e-10, (w0, Om, g)
+
     def test_negative_over_figure_ranges(self):
         for ratio in (2.0, 5.0, 10.0):
             for i in range(59):
@@ -372,7 +400,7 @@ class TestThermoReport:
         assert rep.K_normalized == pytest.approx(rep.K / 0.5, rel=1e-14)
         assert rep.model_status.tag.value == "Valid"
 
-    def test_exponential_special_path(self):
+    def test_exponential_one_route(self):
         for g, we, w0 in [
             (1.0, 1.0, 1.0),
             # large hbar gamma_o omega_e^2 / (2 pi^2): tol must bound K itself
@@ -380,13 +408,39 @@ class TestThermoReport:
             (3.9949919945373233, 48.454605926337926, 4.348149204372997),
         ]:
             rep = thermo.thermo_report(Exponential(g, we), 1.0, w0)
-            assert rep.method == "special-integrand"
+            assert rep.method == "generic-quadrature"
+            assert rep.K == pytest.approx(thermo.k_exponential(w0, we, g), abs=1e-7), (g, we, w0)
             assert rep.K == pytest.approx(rep.F0 - rep.E_s0, abs=1e-7), (g, we, w0)
 
-    def test_xdrude1_special_path(self):
+    def test_xdrude1_one_route(self):
         rep = thermo.thermo_report(ExtendedDrude(1.0, 1.0, 1), 1.0, 1.0)
-        assert rep.method == "special-integrand"
+        assert rep.method == "generic-quadrature"
+        assert rep.K == pytest.approx(thermo.k_extended_drude1(1.0, 1.0, 1.0), abs=1e-7)
         assert rep.K == pytest.approx(rep.F0 - rep.E_s0, abs=1e-7)
+
+    def test_one_integral_per_report(self, monkeypatch):
+        calls = []
+        integrate = thermo.integrate_semi_infinite
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(thermo, "integrate_semi_infinite", counting)
+        for model in (Exponential(1.0, 5.0), ExtendedDrude(1.0, 5.0, 1)):
+            calls.clear()
+            thermo.thermo_report(model, 1.0, 1.0)
+            assert len(calls) == 1, model
+
+    def test_narrow_resonance_keeps_the_sign_of_k(self):
+        # weak coupling puts a resonance of half-width ~5e-9 near omega_0;
+        # the references are peak-resolved 50-digit integrals
+        rep = thermo.thermo_report(ExtendedDrude(1e-5, 1000.0, 1), 1.0, 1.0)
+        assert rep.K > 0.0
+        assert abs(rep.K - 9.407460518e-9) < rep.error_estimate
+        rep = thermo.thermo_report(Exponential(1e-5, 0.1), 1.0, 1.0)
+        assert rep.K > 0.0
+        assert rep.K == pytest.approx(1.3427e-7, rel=1e-4)
 
     def test_ohmic_report(self):
         rep = thermo.thermo_report(Ohmic(1.0), 1.0, 1.0)
