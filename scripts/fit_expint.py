@@ -4,7 +4,9 @@ Prints the ``_E1_CHEB`` and ``_EI_CHEB`` literals of ``oscbath.specfun``:
 for each octave [2^k, 2^(k+1)), k = 0..5, the Chebyshev coefficients of
 e^x E1(x) and e^-x Ei(x) in t = x / 2^(k-1) - 3, computed with mpmath at
 40 digits and cut where the sum of the dropped coefficients falls below
-half an ulp of the smallest value on the octave.
+half an ulp of the smallest value on the octave. Then prints
+``_EI_ZERO``, the zero x0 of Ei as a sum of two floats, and
+``_EI_TAYLOR``, the coefficients Ei^(k)(x0)/k! for k = 1..9.
 
     python scripts/fit_expint.py
 """
@@ -42,6 +44,18 @@ def literal(name, f):
     return "\n".join(lines)
 
 
+def taylor_literal():
+    x0 = mp.findroot(mp.ei, mp.mpf("0.3725"))
+    hi = float(x0)
+    coeffs = [float(c) for c in mp.taylor(mp.ei, x0, 9)[1:]]
+    lines = [f"_EI_ZERO = ({hi!r}, {float(x0 - hi)!r})", "_EI_TAYLOR = ("]
+    for i in range(0, len(coeffs), 3):
+        lines.append("    " + " ".join(f"{c!r}," for c in coeffs[i:i + 3]))
+    lines.append(")")
+    return "\n".join(lines)
+
+
 if __name__ == "__main__":
     print(literal("_E1_CHEB", lambda x: mp.exp(x) * mp.e1(x)))
     print(literal("_EI_CHEB", lambda x: mp.exp(-x) * mp.ei(x)))
+    print(taylor_literal())

@@ -116,8 +116,6 @@ class GroundStateReport:
     E_total: float
     E_s: float
     E_bath_j: tuple[float, ...]
-    q_variance: float
-    p_variance: float
     mode_weights_q: tuple[float, ...]  # squared q-components of eigenvectors
     mode_frequencies: tuple[float, ...] = ()
 
@@ -276,8 +274,9 @@ def exact_ground_state_oracle(bath: DiscreteBath, hbar: float = 1.0) -> GroundSt
     """Independent check: diagonalize the mass-weighted potential matrix.
 
     Builds the (N+1)x(N+1) potential (counter-term included), takes its
-    eigen-decomposition, and assembles the ground-state covariances of every
-    oscillator; eigenvalues must reproduce the normal-mode frequencies.
+    eigen-decomposition, and assembles the ground-state energies of the
+    system and of every bath oscillator; eigenvalues must reproduce the
+    normal-mode frequencies.
     """
     n = bath.n
     V = np.zeros((n + 1, n + 1))
@@ -292,8 +291,6 @@ def exact_ground_state_oracle(bath: DiscreteBath, hbar: float = 1.0) -> GroundSt
     E_total = 0.5 * hbar * float(np.sum(wbar))
 
     u0 = U[0, :] ** 2
-    q_var = hbar / (2.0 * bath.M) * float(np.sum(u0 / wbar))
-    p_var = hbar * bath.M / 2.0 * float(np.sum(u0 * wbar))
     w02 = bath.omega_0 ** 2
     E_s = 0.25 * hbar * float(np.sum(u0 * (wbar + w02 / wbar)))
 
@@ -305,8 +302,6 @@ def exact_ground_state_oracle(bath: DiscreteBath, hbar: float = 1.0) -> GroundSt
         E_total=E_total,
         E_s=E_s,
         E_bath_j=tuple(E_bath),
-        q_variance=q_var,
-        p_variance=p_var,
         mode_weights_q=tuple(u0),
         mode_frequencies=tuple(float(x) for x in wbar),
     )

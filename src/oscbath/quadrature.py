@@ -82,6 +82,9 @@ DEFAULT_MAX_EVALS = 2_000_000
 PANEL_ULPS = 64
 # most nodes x entries one call of f takes
 MAX_BATCH = 8192
+# classify_tail's geometric panels over its window, and the tolerance of each
+TAIL_PANELS = 12
+TAIL_TOL = 1e-6
 
 
 class NonConvergence(RuntimeError):
@@ -344,25 +347,23 @@ def principal_value_integral(
 
 
 def classify_tail(
-    f: Callable,
-    window: tuple[float, float] = (10.0, 1e6),
-    n_panels: int = 12,
-    tol: float = 1e-6,
+    f: Callable, window: tuple[float, float] = (10.0, 1e6)
 ) -> DivergenceClass | tuple[DivergenceClass, ...]:
     """Classify the large-x behaviour of int f by geometric panel ratios.
 
     Panel integrals over a geometric progression of subintervals decay
     geometrically for convergent tails, stay constant for a 1/x tail, and
-    grow geometrically for slower-than-1/x decay. The window panels go
-    through one call and are refined together, each to ``tol``. An
-    ``(n, m)`` integrand gets a tuple of ``m`` classes, one per entry.
+    grow geometrically for slower-than-1/x decay. The ``TAIL_PANELS``
+    window panels go through one call and are refined together, each to
+    ``TAIL_TOL``. An ``(n, m)`` integrand gets a tuple of ``m`` classes, one
+    per entry.
     """
     lo, hi = window
     if not (0.0 < lo < hi < math.inf):
         raise ValueError("window must satisfy 0 < lo < hi, hi finite")
-    edges = [lo * (hi / lo) ** (i / n_panels) for i in range(n_panels + 1)]
+    edges = [lo * (hi / lo) ** (i / TAIL_PANELS) for i in range(TAIL_PANELS + 1)]
     panels, _, _, ndim = _refine_batched(
-        f, np.array(edges), np.arange(n_panels), tol, 200_000 * n_panels)
+        f, np.array(edges), np.arange(TAIL_PANELS), TAIL_TOL, 200_000 * TAIL_PANELS)
     classes = tuple(_classify(column.tolist()) for column in panels.T)
     return classes[0] if ndim == 1 else classes
 

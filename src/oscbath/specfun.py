@@ -1,9 +1,11 @@
 """Exponential integrals in overflow-safe scaled form, plus the
 branch-unifying arctan ratio of the Drude-family closed forms.
 
-Only real positive arguments are supported. The scaled integrals also take
-a 1-D ndarray of arguments: :func:`exp_e1_ei` evaluates both of them at
-every node with one piece selection per node and one stacked recurrence.
+Only finite positive arguments are supported. One evaluator,
+:func:`exp_e1_ei`, computes both scaled integrals at every node of a 1-D
+ndarray with one piece selection per node and one stacked recurrence; a
+float is evaluated as a one-node array. :func:`exp_e1` and
+:func:`exp_neg_ei` each return one of its two values.
 """
 
 from __future__ import annotations
@@ -22,15 +24,15 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Each function is evaluated at a fixed cost: a power series of 18 terms
+# Both functions are evaluated at a fixed cost: a power series of 18 terms
 # for x <= 1, a Chebyshev expansion on each octave [2^k, 2^(k+1)) below 64,
-# picked by math.frexp, and 19 terms of the asymptotic series from 64 on.
+# picked by frexp, and 19 terms of the asymptotic series from 64 on.
 # The first omitted term is below 5e-19 at x = 1 (against E1(1) = 0.22)
 # and below 6e-18 relative at x = 64.
 
-# 1/(k k!) for k = 1..18: sum_k x^k/(k k!) = x * _poly(_SERIES, x)
+# 1/(k k!) for k = 1..18: sum_k x^k/(k k!) = x sum_j _SERIES[j] x^j
 _SERIES = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 19))
-# k! for k = 0..18: (1/x) sum_k (+-1)^k k!/x^k = u * _poly(_ASYMPTOTIC, +-u)
+# k! for k = 0..18: (1/x) sum_k (+-1)^k k!/x^k = u sum_j _ASYMPTOTIC[j] (+-u)^j
 _ASYMPTOTIC = tuple(float(math.factorial(k)) for k in range(19))
 
 # Chebyshev coefficients on the octaves, in t = x / 2^(k-1) - 3 = 4 m - 3
@@ -157,74 +159,20 @@ _EI_CHEB = (
 )
 
 
-def _poly(coeffs: tuple[float, ...], x: float) -> float:
-    # Horner: sum_k coeffs[k] x^k
-    p = 0.0
-    for c in reversed(coeffs):
-        p = p * x + c
-    return p
+# The zero of Ei, x0 = hi + lo, and the Taylor coefficients Ei^(k)(x0)/k!
+# for k = 1..9, used for |x - x0| < 1e-3; generated by scripts/fit_expint.py.
+_EI_ZERO = (0.3725074107813666, 1.3140183414386028e-17)
+_EI_TAYLOR = (
+    3.8962157339071672, -3.2816078663985615, 6.522376145438925,
+    -12.969697383536516, 27.88629796294205, -62.37880152891542,
+    143.5349488096751, -337.1558271787469, 804.5318399821382,
+)
 
 
-def _chebyshev(coeffs: tuple[float, ...], t: float) -> float:
-    # Clenshaw recurrence for sum_k coeffs[k] T_k(t)
-    b1 = b2 = 0.0
-    t2 = t + t
-    for c in reversed(coeffs):
-        b1, b2 = t2 * b1 - b2 + c, b1
-    return b1 - t * b2
-
-
-def exp_e1(x: float | np.ndarray) -> float | np.ndarray:
-    """Scaled exponential integral e^x E1(x) for x > 0.
-
-    Power series up to x=1 (E1 = -gamma - ln x + sum (-1)^(k+1) x^k/(k k!)),
-    Chebyshev pieces on the octaves up to 64, asymptotic series above; the
-    scaled form stays representable for arbitrarily large x (asymptotically
-    1/x - 1/x^2). An ndarray argument gives an ndarray (see
-    :func:`exp_e1_ei`).
-    """
-    if isinstance(x, np.ndarray):
-        return exp_e1_ei(x)[0]
-    if not x > 0.0:
-        raise ValueError(f"exp_e1 requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(x) * (-EULER_GAMMA - math.log(x) + x * _poly(_SERIES, -x))
-    m, e = math.frexp(x)
-    if e <= len(_E1_CHEB):
-        return _chebyshev(_E1_CHEB[e - 1], 4.0 * m - 3.0)
-    u = 1.0 / x
-    return u * _poly(_ASYMPTOTIC, -u)
-
-
-def exp_neg_ei(x: float | np.ndarray) -> float | np.ndarray:
-    """Scaled exponential integral e^-x Ei(x) for x > 0.
-
-    Power series up to x=1 (Ei = gamma + ln x + sum x^k/(k k!)), Chebyshev
-    pieces on the octaves up to 64, asymptotic series above;
-    asymptotically 1/x + 1/x^2. An ndarray argument gives an ndarray (see
-    :func:`exp_e1_ei`).
-
-    Near the zero of Ei, x0 = 0.3725074107813666, the accuracy is absolute
-    (about 1e-16), not relative: the relative error is 7.5e-8 at
-    x0 (1 + 1e-9) and 1.8e-11 at x0 (1 + 1e-6).
-    """
-    if isinstance(x, np.ndarray):
-        return exp_e1_ei(x)[1]
-    if not x > 0.0:
-        raise ValueError(f"exp_neg_ei requires x > 0, got {x}")
-    if x <= 1.0:
-        return math.exp(-x) * (EULER_GAMMA + math.log(x) + x * _poly(_SERIES, x))
-    m, e = math.frexp(x)
-    if e <= len(_EI_CHEB):
-        return _chebyshev(_EI_CHEB[e - 1], 4.0 * m - 3.0)
-    u = 1.0 / x
-    return u * _poly(_ASYMPTOTIC, u)
-
-
-# The pieces of both functions as one table for the ndarray path: piece 0 is
-# the power series, 1..6 the octaves [1, 2) ... [32, 64), 7 the asymptotic
-# series. _STACKED[k, f, piece] is coefficient k, highest first and padded
-# with leading zeros, of function f (0: e^x E1, 1: e^-x Ei).
+# The pieces of both functions as one table: piece 0 is the power series,
+# 1..6 the octaves [1, 2) ... [32, 64), 7 the asymptotic series.
+# _STACKED[k, f, piece] is coefficient k, highest first and padded with
+# leading zeros, of function f (0: e^x E1, 1: e^-x Ei).
 _PIECES = ((_SERIES, _SERIES), *zip(_E1_CHEB, _EI_CHEB), (_ASYMPTOTIC, _ASYMPTOTIC))
 _WIDTH = max(len(c) for pair in _PIECES for c in pair)
 _STACKED = np.ascontiguousarray(np.array([
@@ -233,19 +181,23 @@ _STACKED = np.ascontiguousarray(np.array([
 
 
 def exp_e1_ei(x: float | np.ndarray) -> tuple:
-    """(e^x E1(x), e^-x Ei(x)) for x > 0, as floats or as 1-D ndarrays.
+    """(e^x E1(x), e^-x Ei(x)) for finite x > 0, as floats or as 1-D ndarrays.
 
-    For an ndarray each node selects its piece once, and one recurrence
-    runs over both functions and every node: Horner's rule on the series
-    pieces and Clenshaw's on the Chebyshev pieces, written as
-    b <- A b + B b' + c with per-node A and B. The operations are those of
-    :func:`exp_e1` and :func:`exp_neg_ei` in the same order, so the values
-    equal theirs bit for bit.
+    Each node selects its piece once, and one recurrence runs over both
+    functions and every node: Horner's rule on the series pieces and
+    Clenshaw's on the Chebyshev pieces, written as b <- A b + B b' + c with
+    per-node A and B. A float argument is evaluated as a one-node array and
+    gives floats. Raises ValueError unless every x is finite and positive.
+
+    Within 1e-3 of the zero of Ei, x0 = 0.3725074107813666, e^-x Ei(x)
+    comes from the Taylor series of Ei about x0, so its relative accuracy
+    holds up to x0 itself.
     """
-    if not isinstance(x, np.ndarray):
-        return exp_e1(x), exp_neg_ei(x)
-    if not (x > 0.0).all():
-        raise ValueError("exp_e1_ei requires x > 0")
+    scalar = not isinstance(x, np.ndarray)
+    if scalar:
+        x = np.array([x], dtype=float)
+    if not ((x > 0.0) & (x < math.inf)).all():
+        raise ValueError("exp_e1_ei requires finite x > 0")
     m, e = np.frexp(x)
     series = x <= 1.0
     cheb = ~series & (e <= len(_E1_CHEB))
@@ -268,12 +220,36 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
     e1s, eis = np.where(cheb, 1.0, np.where(series, x, u)) * b1
     i = np.flatnonzero(series)
     if i.size:
-        # math's exp and log, as in the scalar functions
-        xi = x[i].tolist()
+        # E1 = -gamma - ln x + ..., Ei = gamma + ln x + ..., with math's exp and log
+        xs = x[i]
+        xi = xs.tolist()
         q = np.array([EULER_GAMMA + math.log(v) for v in xi])
+        decay = np.array([math.exp(-v) for v in xi])
         e1s[i] = np.array([math.exp(v) for v in xi]) * (-q + e1s[i])
-        eis[i] = np.array([math.exp(-v) for v in xi]) * (q + eis[i])
+        eis[i] = decay * (q + eis[i])
+        near = np.flatnonzero(np.abs(xs - _EI_ZERO[0]) < 1e-3)
+        if near.size:
+            # x - hi is exact, so d has the relative accuracy of one rounding
+            d = (xs[near] - _EI_ZERO[0]) - _EI_ZERO[1]
+            p = np.zeros_like(d)
+            for c in reversed(_EI_TAYLOR):
+                p = p * d + c
+            eis[i[near]] = decay[near] * (d * p)
+    if scalar:
+        return float(e1s[0]), float(eis[0])
     return e1s, eis
+
+
+def exp_e1(x: float | np.ndarray) -> float | np.ndarray:
+    """Scaled exponential integral e^x E1(x), asymptotically 1/x - 1/x^2:
+    the first value of :func:`exp_e1_ei`."""
+    return exp_e1_ei(x)[0]
+
+
+def exp_neg_ei(x: float | np.ndarray) -> float | np.ndarray:
+    """Scaled exponential integral e^-x Ei(x), asymptotically 1/x + 1/x^2:
+    the second value of :func:`exp_e1_ei`."""
+    return exp_e1_ei(x)[1]
 
 
 def arctan_ratio(w0: float, gamma: float) -> float:

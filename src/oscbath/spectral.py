@@ -202,8 +202,8 @@ def gamma_t(model: SpectralModel, t: float) -> float:
         we = model.omega_e
         return (2.0 / math.pi) * g * we / (1.0 + (we * t) ** 2)
     if isinstance(model, ExtendedDrude) and model.n == 1:
-        x = model.omega_d * t
-        return (g * model.omega_d / math.pi) * (specfun.exp_e1(x) - specfun.exp_neg_ei(x))
+        e1s, eis = specfun.exp_e1_ei(model.omega_d * t)
+        return (g * model.omega_d / math.pi) * (e1s - eis)
     raise UnsupportedKernel(
         f"{type(model).__name__}: time-domain kernel is distributional or unknown"
     )

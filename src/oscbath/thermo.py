@@ -1,11 +1,16 @@
 """Zero-temperature thermodynamics for continuous baths.
 
-Generic quadrature paths give the excess energy E_s(0), the coupling free
-energy F(0), and the second-law deficit K for any valid damping family;
-:func:`thermo_report` takes all three from one shared-panel integral, or
-from the closed form for Drude. Closed forms and one-dimensional
-integrands for the Drude, exponential-cutoff, and extended-Drude models
-compute the tables and serve as independent references for K.
+The generic route gives the excess energy E_s(0), the coupling free
+energy F(0), and the second-law deficit K for any valid damping family.
+Its four entry points (:func:`system_energy_0_cont`,
+:func:`free_energy_0_cont`, :func:`k_cont` and :func:`thermo_report`)
+share one rule: a member whose K diverges gets the tail class of each
+requested column; otherwise divergent E_s and F keep their class and the
+rest are integrated as one shared-panel integral. :func:`thermo_report`
+takes the Drude model from its closed form instead. Closed forms and
+one-dimensional integrands for the Drude, exponential-cutoff, and
+extended-Drude models compute the tables and serve as independent
+references for K.
 
 Closed Drude-family forms are written in regime-free real arithmetic
 (through :func:`specfun.arctan_ratio`), so a single expression serves both
@@ -161,8 +166,15 @@ def drude_params_to_physical(
 # Drude closed forms, written to be regime-free
 
 
-def _drude_im_chi_integrals(params: DrudeParams) -> tuple[float, float]:
-    """M * int Im chi dw and M * int w^2 Im chi dw for the Drude model."""
+def _drude_es_f(
+    omega_0: float, omega_d: float, gamma_o: float, hbar: float
+) -> tuple[float, float]:
+    """E_s(0) and F(0) of the Drude model from one pole cubic.
+
+    E_s(0) is hbar/2pi (omega_0^2 I0 + I2) with I0 and I2 the integrals of
+    M Im chi and M w^2 Im chi over w > 0.
+    """
+    params = drude_params_from_physical(omega_0, omega_d, gamma_o)
     w0, Om, g = params.w0, params.Omega, params.gamma
     t = specfun.arctan_ratio(w0, g)
     lg = math.log(Om / w0)
@@ -170,45 +182,32 @@ def _drude_im_chi_integrals(params: DrudeParams) -> tuple[float, float]:
     i0 = ((w0 * w0 + Om * Om - 0.5 * g * g) * t - g * lg) / den
     i2 = ((w0 ** 4 + w0 ** 2 * Om ** 2 - 0.5 * Om ** 2 * g ** 2) * t
           + Om ** 2 * g * lg) / den
-    return i0, i2
+    w1sq = w0 * w0 - 0.25 * g * g
+    f = (Om + g) * math.log((Om + g) / Om) + g * lg + 2.0 * w1sq * t
+    scale = hbar / (2.0 * math.pi)
+    return scale * (omega_0 ** 2 * i0 + i2), scale * f
 
 
 def es_drude_closed(
     omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
 ) -> float:
     """Exact Drude excess-bearing system energy E_s(0)."""
-    params = drude_params_from_physical(omega_0, omega_d, gamma_o)
-    return _es_drude_params(params, omega_0, hbar)
-
-
-def _es_drude_params(params: DrudeParams, omega_0: float, hbar: float = 1.0) -> float:
-    i0, i2 = _drude_im_chi_integrals(params)
-    return hbar / (2.0 * math.pi) * (omega_0 ** 2 * i0 + i2)
+    return _drude_es_f(omega_0, omega_d, gamma_o, hbar)[0]
 
 
 def f_drude_closed(
     omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
 ) -> float:
     """Exact Drude coupling free energy F(0)."""
-    params = drude_params_from_physical(omega_0, omega_d, gamma_o)
-    return _f_drude_params(params, hbar)
-
-
-def _f_drude_params(params: DrudeParams, hbar: float = 1.0) -> float:
-    w0, Om, g = params.w0, params.Omega, params.gamma
-    w1sq = w0 * w0 - 0.25 * g * g
-    val = ((Om + g) * math.log((Om + g) / Om)
-           + g * math.log(Om / w0)
-           + 2.0 * w1sq * specfun.arctan_ratio(w0, g))
-    return hbar / (2.0 * math.pi) * val
+    return _drude_es_f(omega_0, omega_d, gamma_o, hbar)[1]
 
 
 def k_drude_closed(
     omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
 ) -> float:
     """Second-law deficit for the Drude model, fully closed form."""
-    params = drude_params_from_physical(omega_0, omega_d, gamma_o)
-    return _f_drude_params(params, hbar) - _es_drude_params(params, omega_0, hbar)
+    es, f = _drude_es_f(omega_0, omega_d, gamma_o, hbar)
+    return f - es
 
 
 def k_drude_lambda(
@@ -371,7 +370,7 @@ def _tail_window(model: SpectralModel, omega_0: float) -> tuple[float, float]:
 _ES, _F, _K = 0, 1, 2
 
 
-def _integrand(model: SpectralModel, omega_0: float, columns: tuple[int, ...] = (_ES, _F, _K)):
+def _integrand(model: SpectralModel, omega_0: float, columns: tuple[int, ...]):
     """The E_s(0), F(0) and K integrands as one node-batched function.
 
     Maps a 1-D ndarray of frequencies to rows of the requested ``columns``
@@ -406,32 +405,44 @@ def _integrand(model: SpectralModel, omega_0: float, columns: tuple[int, ...] = 
     return integrand
 
 
-def _continuous(
-    model: SpectralModel, omega_0: float, classified: tuple[int, ...],
-    integrated: tuple[int, ...], hbar: float, tol: float, max_evals: int,
-) -> tuple[dict, float]:
-    """Columns of the fused integrand as energies or divergence classes.
+def _k_vanishes(model: SpectralModel) -> bool:
+    # Ohmic damping: the K integrand vanishes pointwise
+    return isinstance(model, ExtendedOhmic) and model.p == 0
 
-    The ``classified`` columns get their tail classes from one
-    ``classify_tail`` call, and the divergent ones keep their class. The
-    convergent ones and the ``integrated`` columns are integrated as one
-    shared-panel integral. Returns {column: value or class} and the summed
-    error estimate of the values, both in energy units.
+
+def _continuous(
+    model: SpectralModel, omega_0: float, columns: tuple[int, ...],
+    hbar: float, tol: float, max_evals: int,
+) -> tuple[dict, float]:
+    """The ``columns`` of the fused integrand as energies or divergence classes.
+
+    A member whose K diverges gets one tail class per column from one
+    ``classify_tail`` call. Otherwise the E_s and F columns are classified,
+    the divergent ones keep their class, Ohmic's K is exactly zero, and the
+    rest are integrated as one shared-panel integral. Returns
+    {column: value or class} and the summed error estimate of the values,
+    both in energy units.
     """
+    window = _tail_window(model, omega_0)
+    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
+        classes = classify_tail(_integrand(model, omega_0, columns), window)
+        return dict(zip(columns, classes)), 0.0
     out = {}
-    if classified:
-        classes = classify_tail(_integrand(model, omega_0, classified),
-                                window=_tail_window(model, omega_0))
-        out = {c: cls for c, cls in zip(classified, classes)
+    energies = tuple(c for c in columns if c != _K)
+    if energies:
+        classes = classify_tail(_integrand(model, omega_0, energies), window)
+        out = {c: cls for c, cls in zip(energies, classes)
                if cls.tag is not DivergenceTag.CONVERGENT}
-    columns = tuple(sorted({*classified, *integrated} - out.keys()))
-    if not columns:
+    if _K in columns and _k_vanishes(model):
+        out[_K] = 0.0
+    rest = tuple(c for c in columns if c not in out)
+    if not rest:
         return out, 0.0
     res = integrate_semi_infinite(
-        _integrand(model, omega_0, columns), tol=tol,
+        _integrand(model, omega_0, rest), tol=tol,
         split_points=[omega_0, 2.0 * omega_0, *_cutoffs(model)], max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
-    out.update((c, scale * float(v)) for c, v in zip(columns, res.value))
+    out.update((c, scale * float(v)) for c, v in zip(rest, res.value))
     return out, scale * float(res.abs_error_estimate.sum())
 
 
@@ -447,7 +458,7 @@ def system_energy_0_cont(
     """E_s(0) by the fluctuation-dissipation integral over Im of the
     susceptibility; divergent families return their divergence class."""
     _require_system(M, omega_0)
-    return _continuous(model, omega_0, (_ES,), (), hbar, tol, max_evals)[0][_ES]
+    return _continuous(model, omega_0, (_ES,), hbar, tol, max_evals)[0][_ES]
 
 
 def free_energy_0_cont(
@@ -456,12 +467,7 @@ def free_energy_0_cont(
 ) -> EnergyOrDivergent:
     """F(0) by the logarithmic-derivative integrand w * Im(-G'/G)."""
     _require_system(M, omega_0)
-    return _continuous(model, omega_0, (_F,), (), hbar, tol, max_evals)[0][_F]
-
-
-def _k_vanishes(model: SpectralModel) -> bool:
-    # Ohmic damping: the K integrand vanishes pointwise
-    return isinstance(model, ExtendedOhmic) and model.p == 0
+    return _continuous(model, omega_0, (_F,), hbar, tol, max_evals)[0][_F]
 
 
 def k_cont(
@@ -475,12 +481,7 @@ def k_cont(
     the finite part of their kernel, a negative logarithmic divergence.
     """
     _require_system(M, omega_0)
-    if _k_vanishes(model):
-        return 0.0
-    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        k = _integrand(model, omega_0, (_K,))
-        return classify_tail(k, window=_tail_window(model, omega_0))[0]
-    return _continuous(model, omega_0, (), (_K,), hbar, tol, max_evals)[0][_K]
+    return _continuous(model, omega_0, (_K,), hbar, tol, max_evals)[0][_K]
 
 
 def thermo_report(
@@ -501,27 +502,16 @@ def thermo_report(
     status = classify_model(model)
     if status.tag is StatusTag.INVALID_KERNEL:
         raise InvalidModel(str(status))
-    if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        es, f0, k = classify_tail(_integrand(model, omega_0),
-                                  window=_tail_window(model, omega_0))
-        return ThermoReport(
-            E_s0=es, F0=f0, K=k, method="divergence-classification",
-            error_estimate=0.0, model_status=status, K_normalized=None,
-        )
     err = 0.0
     if isinstance(model, ExtendedDrude) and model.n == 0:
-        params = drude_params_from_physical(omega_0, model.omega_d, model.gamma_o)
-        es = _es_drude_params(params, omega_0, hbar)
-        f0 = _f_drude_params(params, hbar)
+        es, f0 = _drude_es_f(omega_0, model.omega_d, model.gamma_o, hbar)
         k = f0 - es
         method = "closed-form"
     else:
-        k_zero = _k_vanishes(model)
-        values, err = _continuous(model, omega_0, (_ES, _F), () if k_zero else (_K,),
-                                  hbar, tol, max_evals)
-        es, f0 = values[_ES], values[_F]
-        k = values.get(_K, 0.0)
-        method = "generic-quadrature"
+        values, err = _continuous(model, omega_0, (_ES, _F, _K), hbar, tol, max_evals)
+        es, f0, k = values[_ES], values[_F], values[_K]
+        method = ("divergence-classification"
+                  if status.tag is StatusTag.VALID_BUT_K_DIVERGENT else "generic-quadrature")
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None
     return ThermoReport(
         E_s0=es, F0=f0, K=k, method=method,

@@ -54,8 +54,8 @@ class TestScaledExponentialIntegrals:
             ), f"x={x}"
 
     def test_ndarray_equals_scalar_calls(self):
-        # one piece selection and one stacked recurrence per array, with the
-        # scalar functions' operations in their order: equal bit for bit
+        # a float is evaluated as a one-node array, and each node's value
+        # does not depend on the other nodes: equal bit for bit
         xs = log_grid(1e-3, 700.0, 400) + PIECE_EDGES
         x = np.array(xs)
         e1s, eis = specfun.exp_e1_ei(x)
@@ -84,11 +84,23 @@ class TestScaledExponentialIntegrals:
         )
 
     def test_domain_errors(self):
-        for bad in (0.0, -1.0):
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 specfun.exp_e1(bad)
             with pytest.raises(ValueError):
                 specfun.exp_neg_ei(bad)
+            with pytest.raises(ValueError):
+                specfun.exp_e1_ei(np.array([1.0, bad]))
+
+    def test_exp_neg_ei_relative_accuracy_at_the_zero_of_ei(self):
+        # Ei vanishes at x0; its Taylor series about x0 keeps e^-x Ei(x)
+        # accurate relative to its own small size, up to x0 itself
+        x0 = 0.3725074107813666
+        xs = [x0 * (1.0 + s * 10.0 ** -k) for k in range(3, 17) for s in (-1, 1)]
+        for x in xs:
+            ref = oracle_exp_neg_ei(x)
+            assert abs(specfun.exp_neg_ei(x) / ref - 1.0) < 1e-13, f"x={x!r}"
+        assert specfun.exp_neg_ei(np.array(xs)).tolist() == [specfun.exp_neg_ei(x) for x in xs]
 
     def test_finite_at_500(self):
         # scaled values stay representable far beyond the overflow point of

@@ -392,6 +392,48 @@ class TestLimitChecks:
         assert lc["exponential_limit"] == pytest.approx(1.0 / (2.0 * math.pi))
 
 
+
+# each generic entry point and the report column it must reproduce
+ENTRY_POINTS = ((thermo.system_energy_0_cont, "E_s0"),
+                (thermo.free_energy_0_cont, "F0"),
+                (thermo.k_cont, "K"))
+
+
+class TestOneRule:
+    """The single-column entry points follow the rule of the report."""
+
+    def test_divergent_members_give_the_report_classes(self):
+        for model in (ExtendedOhmic(1.0, 2), ExtendedDrude(1.0, 1.0, 4),
+                      ExtendedDrude(0.7, 3.0, 6)):
+            rep = thermo.thermo_report(model, 1.0, 1.3)
+            for entry, column in ENTRY_POINTS:
+                value = entry(model, 1.0, 1.3)
+                assert isinstance(value, DivergenceClass)
+                assert value == getattr(rep, column), (model, column)
+
+    def test_integrated_members_agree_with_the_report(self):
+        # each entry point integrates its own column on its own panels, so
+        # it agrees with the report's shared-panel column to the default
+        # tol; the (d,2) member's E_s and F keep the report's class
+        for model in (Exponential(1.0, 5.0), Exponential(2.2, 40.0),
+                      ExtendedDrude(1.0, 5.0, 1), ExtendedDrude(0.5, 2.0, 1),
+                      ExtendedDrude(1.0, 5.0, 2), ExtendedDrude(3.0, 0.7, 2)):
+            rep = thermo.thermo_report(model, 1.0, 1.3)
+            for entry, column in ENTRY_POINTS:
+                value, want = entry(model, 1.0, 1.3), getattr(rep, column)
+                if isinstance(want, DivergenceClass):
+                    assert value == want, (model, column)
+                else:
+                    assert abs(value - want) < 1e-9, (model, column)
+            assert isinstance(rep.K, float)
+
+    def test_drude_closed_forms_equal_the_report(self):
+        for g, wd, w0 in [(1.0, 5.0, 1.3), (0.3, 40.0, 0.7), (4.0, 0.5, 2.0)]:
+            rep = thermo.thermo_report(Drude(g, wd), 1.0, w0, hbar=1.7)
+            assert thermo.es_drude_closed(w0, wd, g, hbar=1.7) == rep.E_s0
+            assert thermo.f_drude_closed(w0, wd, g, hbar=1.7) == rep.F0
+            assert thermo.k_drude_closed(w0, wd, g, hbar=1.7) == rep.K
+
 class TestThermoReport:
     def test_drude_closed_form_path(self):
         rep = thermo.thermo_report(Drude(1.0, 1.0), 1.0, 1.0)
