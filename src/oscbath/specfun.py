@@ -186,14 +186,15 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
     Each node selects its piece once, and one recurrence runs over both
     functions and every node: Horner's rule on the series pieces and
     Clenshaw's on the Chebyshev pieces, written as b <- A b + B b' + c with
-    per-node A and B. A float argument is evaluated as a one-node array and
-    gives floats. Raises ValueError unless every x is finite and positive.
+    per-node A and B. A float or 0-d array argument is evaluated as a
+    one-node array and gives floats. Raises ValueError unless every x is
+    finite and positive.
 
     Within 1e-3 of the zero of Ei, x0 = 0.3725074107813666, e^-x Ei(x)
     comes from the Taylor series of Ei about x0, so its relative accuracy
     holds up to x0 itself.
     """
-    scalar = not isinstance(x, np.ndarray)
+    scalar = not isinstance(x, np.ndarray) or x.ndim == 0
     if scalar:
         x = np.array([x], dtype=float)
     if not ((x > 0.0) & (x < math.inf)).all():

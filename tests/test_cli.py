@@ -1,5 +1,7 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import time
+
 import pytest
 
 from oscbath.cli import main
@@ -196,6 +198,16 @@ class TestDiscrete:
         rc = main(["discrete", "--random", "12", "--seed", "1", "--count", "200"])
         assert rc == 0
         assert "random suite: 200/200 baths pass" in capsys.readouterr().out
+
+    def test_random_beyond_the_sampler_exits_1(self, capsys):
+        # a draw of n >= 45 frequencies almost never keeps 2% gaps, so the
+        # sampler gives up after a bounded number of draws
+        start = time.perf_counter()
+        rc = main(["discrete", "--random", "100", "--seed", "1", "--count", "3"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 5.0
+        assert rc == 1
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("extra", [["--seed", "3"], ["--count", "5"]])
     def test_random_options_need_random(self, extra, tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Exact finite-bath thermodynamics: worked N=1 example with an inline
 quadratic oracle, the seeded random property suite, large baths against the
-eigen-decomposition oracle, and parser contracts."""
+eigen-decomposition oracle, the secular solver's sweeps, accuracy and
+memory, and parser contracts."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -206,6 +209,105 @@ class TestLargeBaths:
         monkeypatch.setattr("oscbath.discrete.normal_modes", lambda _: mutated)
         violations = invariant_violations(bath)
         assert any("oracle mode-frequency mismatch" in v for v in violations)
+
+
+def weak_bath(c: float) -> DiscreteBath:
+    """M = omega_0 = 1 with oscillators (1, 2, c) and (1, 3, c): a weakly
+    coupled bath whose modes lie within about c^2 of the bare frequencies."""
+    return DiscreteBath(1.0, 1.0, ((1.0, 2.0, c), (1.0, 3.0, c)))
+
+
+def mp_secular_roots(bath: DiscreteBath, dps: int = 50) -> tuple[list, list]:
+    """Poles d and the root of s in each bracket, by bisection at ``dps`` digits."""
+    with mp.workdps(dps):
+        M = mp.mpf(bath.M)
+        d = [mp.mpf(0)] + [mp.mpf(w) ** 2 for _, w, _ in bath.oscillators]
+        z = [mp.mpf(bath.omega_0) ** 2] + [
+            mp.mpf(c) ** 2 / (mp.mpf(m) * mp.mpf(w) ** 2 * M)
+            for m, w, c in bath.oscillators
+        ]
+        ends = d + [d[-1] + mp.fsum(z)]
+        roots = []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            for _ in range(4 * dps):
+                mid = (lo + hi) / 2
+                if 1 - mp.fsum(zi / (mid - di) for zi, di in zip(z, d)) < 0:
+                    lo = mid  # s rises from -inf: the root lies above
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+        return d, roots
+
+
+@pytest.fixture(scope="module")
+def solved_2048():
+    """A band bath of N = 2048 solved under tracemalloc: (bath, modes,
+    second-law report, peak traced bytes)."""
+    bath = grid_bath(2048)
+    tracemalloc.start()
+    try:
+        modes = normal_modes(bath)
+        report = k_second_law(bath, modes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return bath, modes, report, peak
+
+
+BAND_SIZES = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384,
+              512, 768, 1024]
+
+
+class TestSecularSolver:
+    def test_sweeps_are_few(self):
+        assert normal_modes(DiscreteBath(1.0, 1.3, ())).sweeps == 0
+        sweeps = []
+        for seed in range(21):  # the baths of TestPropertySuite.test_seed_sweep
+            rng = np.random.default_rng(seed)
+            for _ in range(200 if seed == 0 else 50):
+                sweeps.append(normal_modes(random_bath(rng)).sweeps)
+        sweeps += [normal_modes(grid_bath(n)).sweeps for n in BAND_SIZES]
+        assert 2 <= min(sweeps) and max(sweeps) <= 16, (min(sweeps), max(sweeps))
+
+    @pytest.mark.parametrize("c", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_weak_coupling_offsets_match_mpmath(self, c):
+        bath = weak_bath(c)
+        modes = normal_modes(bath)
+        d, roots = mp_secular_roots(bath)
+        for o, tau, root in zip(modes.origins, modes.offsets, roots):
+            ref = root - d[o]
+            assert abs((tau - ref) / ref) < 1e-13, (o, tau, float(ref))
+
+    def test_row_blocks_do_not_change_the_modes(self, monkeypatch):
+        bath = grid_bath(300, seed=3)
+        whole = normal_modes(bath)
+        report = k_second_law(bath, whole)
+        monkeypatch.setattr("oscbath.discrete.BLOCK", 1 << 10)  # 3 rows per block
+        assert normal_modes(bath) == whole
+        assert k_second_law(bath, whole) == report
+
+    def test_memory_at_2048_is_below_two_dense_arrays(self, solved_2048):
+        # one (N+1)^2 float array is 33.6 MB at N = 2048
+        peak = solved_2048[3]
+        assert peak < 64e6, f"peak {peak / 1e6:.1f} MB"
+
+    def test_invariants_at_2048(self, solved_2048):
+        # the bounds of invariant_violations, without its O(N^3) oracle
+        bath, modes, report, _ = solved_2048
+        wb = np.array(modes.frequencies)
+        w = bath.bath_frequencies
+        interleaved = np.empty(2 * bath.n + 1)
+        interleaved[0::2] = wb
+        interleaved[1::2] = w
+        assert np.all(np.diff(interleaved) >= 0.0)
+        assert wb[0] <= bath.omega_0 <= wb[-1]
+        sum_rhs = math.fsum(w ** 2) + bath.omega_0 ** 2 + gamma_zero(bath)
+        assert abs(math.fsum(wb ** 2) - sum_rhs) <= 1e-10 * sum_rhs
+        prod_rhs = math.fsum(np.log(w ** 2)) + 2.0 * math.log(bath.omega_0)
+        assert abs(math.fsum(np.log(wb ** 2)) - prod_rhs) <= 1e-10 * max(1.0, abs(prod_rhs))
+        assert report.K >= 0.0 and min(report.per_mode_terms) >= 0.0
+        assert abs(report.residue_total - report.K) <= 1e-8 * max(report.K, 1e-12)
+        assert math.fsum(modes.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestParser:

@@ -66,6 +66,14 @@ class TestScaledExponentialIntegrals:
         with pytest.raises(ValueError):
             specfun.exp_e1_ei(np.array([1.0, 0.0]))
 
+    def test_zero_d_array_is_a_float(self):
+        for v in (1e-3, 0.5, 3.0, 700.0):
+            got = specfun.exp_e1_ei(np.array(v))
+            assert got == specfun.exp_e1_ei(v)
+            assert all(type(g) is float for g in got)
+        with pytest.raises(ValueError):
+            specfun.exp_e1_ei(np.array(0.0))
+
     def test_large_x_asymptotics(self):
         x = 100.0
         assert specfun.exp_e1(x) == pytest.approx(1 / x - 1 / x**2, rel=0.02)
