@@ -32,11 +32,9 @@ from .quadrature import (
     Inconclusive,
     IntegralResult,
     NonConvergence,
-    SingularityMisdeclared,
     classify_tail,
     integrate_interval,
     integrate_semi_infinite,
-    principal_value_integral,
 )
 from .spectral import (
     Drude,
@@ -54,7 +52,6 @@ from .spectral import (
     g_plus_derivative,
     gamma_plus,
     gamma_plus_derivative,
-    gamma_plus_generic,
     gamma_t,
     j_omega,
     parse_model,

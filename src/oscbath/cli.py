@@ -16,7 +16,9 @@ import sys
 import numpy as np
 
 from . import discrete, thermo
-from .quadrature import DEFAULT_MAX_EVALS, DivergenceClass, Inconclusive, NonConvergence
+from .quadrature import (
+    DEFAULT_MAX_EVALS, DEFAULT_TOL, DivergenceClass, Inconclusive, NonConvergence,
+)
 from .spectral import parse_model
 
 FIG1_RATIOS = (2.0, 5.0, 10.0)
@@ -296,7 +298,7 @@ def _option(name: str, **kwargs) -> tuple[str, argparse.ArgumentParser]:
 # each subcommand takes only the ones it reads
 _SHARED = dict((
     _option("--hbar", type=_POSITIVE_FLOAT, default=1.0),
-    _option("--tol", type=_POSITIVE_FLOAT, default=1e-9),
+    _option("--tol", type=_POSITIVE_FLOAT, default=DEFAULT_TOL),
     _option("--max-evals", type=_POSITIVE_INT, default=DEFAULT_MAX_EVALS,
             help="integrand evaluations per integral"),
     _option("--format", choices=("csv", "table"), default="csv"),

@@ -1,5 +1,4 @@
-"""Adaptive quadrature on the half line, principal-value integrals, and
-tail-divergence classification.
+"""Adaptive quadrature on the half line, and tail-divergence classification.
 
 Every integrand maps a 1-D ndarray of nodes to shape ``(n,)``, one value
 per node, or ``(n, m)``, one row of ``m`` entries per node that share one
@@ -16,9 +15,7 @@ call. Once the first call has shown the number of entries, a call takes at
 most ``MAX_BATCH`` node-entries. Each entry's summed error estimate ends at
 most ``tol``, and a panel narrower than ``PANEL_ULPS`` ulps of its
 endpoints that still misses it raises ``NonConvergence`` instead of being
-refined further. Principal-value integrals fold the two sides of the pole
-together, so the odd singular part cancels pointwise and no excision
-parameter survives.
+refined further.
 """
 
 from __future__ import annotations
@@ -35,11 +32,9 @@ __all__ = [
     "DivergenceClass",
     "DivergenceTag",
     "NonConvergence",
-    "SingularityMisdeclared",
     "Inconclusive",
     "integrate_interval",
     "integrate_semi_infinite",
-    "principal_value_integral",
     "classify_tail",
 ]
 
@@ -93,10 +88,6 @@ class NonConvergence(RuntimeError):
     def __init__(self, message: str, partial: "IntegralResult"):
         super().__init__(message)
         self.partial = partial
-
-
-class SingularityMisdeclared(ValueError):
-    """Raised when a declared pole location does not regularize the integrand."""
 
 
 class Inconclusive(RuntimeError):
@@ -292,58 +283,6 @@ def _over_u2(y, u: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     u2 = u * u
     return y / (u2[:, None] if y.ndim == 2 else u2)
-
-
-def principal_value_integral(
-    f: Callable[[np.ndarray], np.ndarray],
-    singularity: float,
-    tol: float = DEFAULT_TOL,
-    split_points: Sequence[float] = (),
-    max_evals: int = DEFAULT_MAX_EVALS,
-) -> IntegralResult:
-    """Cauchy principal value of int_0^inf f(x) dx with one simple pole.
-
-    The window symmetric about the pole is folded, u -> f(s+u) + f(s-u),
-    which cancels the odd pole part exactly; the remainder of the half line
-    is integrated as usual. ``f`` maps nodes to shape ``(n,)``, and
-    ``evaluations`` counts the nodes passed to it.
-    """
-    s = singularity
-    if not s > 0.0:
-        raise ValueError("singularity must lie on the positive half line")
-    h = 0.5 * s
-
-    def folded(u: np.ndarray) -> np.ndarray:
-        return f(s + u) + f(s - u)
-
-    # residual blow-up check: the folded integrand must be bounded near 0
-    probe = np.abs(folded(h * np.array([1e-4, 1e-6, 1e-8]))).tolist()
-    if probe[2] > 1e4 * (1.0 + probe[0]) and probe[2] > 1e4 * (1.0 + probe[1]):
-        raise SingularityMisdeclared(
-            f"integrand not regularized by folding about x={s}: {probe}"
-        )
-
-    budget = max_evals // 3
-    inner = integrate_interval(folded, 0.0, h, tol=tol / 3.0, max_evals=budget)
-    left = integrate_interval(
-        f, 0.0, s - h, tol=tol / 3.0,
-        split_points=[p for p in split_points if 0.0 < p < s - h],
-        max_evals=budget,
-    )
-
-    def right_tail(u: np.ndarray) -> np.ndarray:
-        return f(s + h + u)
-
-    right = integrate_semi_infinite(
-        right_tail, tol=tol / 3.0,
-        split_points=[p - s - h for p in split_points if p > s + h],
-        max_evals=budget,
-    )
-    value = left.value + inner.value + right.value
-    err = left.abs_error_estimate + inner.abs_error_estimate + right.abs_error_estimate
-    # the folded integrand takes f at two nodes per node, the probe at six
-    evals = left.evaluations + 2 * inner.evaluations + right.evaluations + 6
-    return IntegralResult(value, err, evals, True)
 
 
 def classify_tail(

@@ -1,6 +1,9 @@
 """Continuous damping families: spectral densities J(w), time-domain kernels,
 frequency-domain boundary values gamma_plus(w), and validity classification.
 
+Every gamma_plus is a closed form, resolved once per model by
+:func:`boundary_kernel`; nothing here integrates.
+
 Three families are written out: exponential cutoff, extended Ohmic with an
 extra power (omega/gamma_o)^p, and extended Drude with an extra power
 (omega/omega_d)^n. Strict Ohmic (``Ohmic``) is the p = 0 member and Drude
@@ -21,7 +24,6 @@ from typing import Callable, Union
 import numpy as np
 
 from . import specfun
-from .quadrature import principal_value_integral
 
 __all__ = [
     "Ohmic",
@@ -39,7 +41,6 @@ __all__ = [
     "j_omega",
     "gamma_t",
     "gamma_plus",
-    "gamma_plus_generic",
     "gamma_plus_derivative",
     "g_plus",
     "g_plus_derivative",
@@ -229,13 +230,18 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     _reject_invalid(model)
     g = model.gamma_o
     if isinstance(model, ExtendedOhmic):
-        if model.p == 0:
-            return lambda w: (g + 0j * w, 0j * w)
-        if model.p == 2:
-            return lambda w: (w * w / g + 0j, 2.0 * w / g + 0j)
-        raise UnsupportedKernel(
-            f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
-        )
+        p = model.p
+        if p > 2:
+            raise UnsupportedKernel(
+                f"extended Ohmic p={p}: no finite-part kernel for the delta(0) weight"
+            )
+
+        def ohmic(w):
+            r = w / g
+            # the power of the derivative floored at 0: r^-1 overflows near w = 0
+            return g * r ** p + 0j, p * r ** max(p - 1, 0) + 0j
+
+        return ohmic
     if isinstance(model, Exponential):
         we = model.omega_e
         gpi = g / math.pi
@@ -310,28 +316,6 @@ def gamma_plus(model: SpectralModel, M: float, omega: float) -> complex:
     the delta(0)-carrying members.
     """
     return _kernel_at(model, omega)[0]
-
-
-def gamma_plus_generic(
-    model: SpectralModel, M: float, omega: float, tol: float = 1e-9
-) -> complex:
-    """gamma_plus through the principal-value transform of J(w') directly.
-
-    Independent route used to cross-check the closed forms; only defined when
-    the PV integral over J(w')/w' converges.
-    """
-    _reject_invalid(model)
-    w = _require_positive("omega", omega)
-    re = j_omega(model, M, w) / (M * w)
-
-    def integrand(wp: np.ndarray) -> np.ndarray:
-        # J node by node through j_omega, independent of boundary_kernel
-        jw = np.array([j_omega(model, M, x) for x in wp.tolist()])
-        return (jw / wp) * (1.0 / (wp + w) - 1.0 / (wp - w)) / math.pi
-
-    splits = [w / 2, 2 * w, *_cutoffs(model)]
-    res = principal_value_integral(integrand, w, tol=tol, split_points=splits)
-    return complex(re, res.value / M)
 
 
 def gamma_plus_derivative(model: SpectralModel, M: float, omega: float) -> complex:

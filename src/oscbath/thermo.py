@@ -3,14 +3,14 @@
 The generic route gives the excess energy E_s(0), the coupling free
 energy F(0), and the second-law deficit K for any valid damping family.
 Its four entry points (:func:`system_energy_0_cont`,
-:func:`free_energy_0_cont`, :func:`k_cont` and :func:`thermo_report`)
-share one rule: a member whose K diverges gets the tail class of each
-requested column; otherwise divergent E_s and F keep their class and the
-rest are integrated as one shared-panel integral. :func:`thermo_report`
-takes the Drude model from its closed form instead. Closed forms and
-one-dimensional integrands for the Drude, exponential-cutoff, and
-extended-Drude models compute the tables and serve as independent
-references for K.
+:func:`free_energy_0_cont`, :func:`k_cont` and :func:`thermo_report`) take
+their values from one E_s/F/K triple per model: a member whose K diverges
+gets the tail class of each column; otherwise divergent E_s and F keep
+their class and the rest are integrated as one shared-panel integral.
+:func:`thermo_report` takes the Drude model from its closed form instead.
+Closed forms and one-dimensional integrands for the Drude,
+exponential-cutoff, and extended-Drude models compute the tables and serve
+as independent references for K.
 
 Closed Drude-family forms are written in regime-free real arithmetic
 (through :func:`specfun.arctan_ratio`), so a single expression serves both
@@ -29,6 +29,7 @@ import numpy as np
 from . import specfun
 from .quadrature import (
     DEFAULT_MAX_EVALS,
+    DEFAULT_TOL,
     DivergenceClass,
     DivergenceTag,
     classify_tail,
@@ -73,8 +74,6 @@ __all__ = [
 ]
 
 EnergyOrDivergent = Union[float, DivergenceClass]
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -411,39 +410,32 @@ def _k_vanishes(model: SpectralModel) -> bool:
 
 
 def _continuous(
-    model: SpectralModel, omega_0: float, columns: tuple[int, ...],
-    hbar: float, tol: float, max_evals: int,
-) -> tuple[dict, float]:
-    """The ``columns`` of the fused integrand as energies or divergence classes.
+    model: SpectralModel, omega_0: float, hbar: float, tol: float, max_evals: int,
+) -> tuple[list, float]:
+    """[E_s(0), F(0), K] of the fused integrand as energies or divergence classes.
 
     A member whose K diverges gets one tail class per column from one
     ``classify_tail`` call. Otherwise the E_s and F columns are classified,
     the divergent ones keep their class, Ohmic's K is exactly zero, and the
-    rest are integrated as one shared-panel integral. Returns
-    {column: value or class} and the summed error estimate of the values,
-    both in energy units.
+    rest are integrated as one shared-panel integral. Returns the triple and
+    the summed error estimate of its values, both in energy units.
     """
     window = _tail_window(model, omega_0)
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        classes = classify_tail(_integrand(model, omega_0, columns), window)
-        return dict(zip(columns, classes)), 0.0
-    out = {}
-    energies = tuple(c for c in columns if c != _K)
-    if energies:
-        classes = classify_tail(_integrand(model, omega_0, energies), window)
-        out = {c: cls for c, cls in zip(energies, classes)
-               if cls.tag is not DivergenceTag.CONVERGENT}
-    if _K in columns and _k_vanishes(model):
-        out[_K] = 0.0
-    rest = tuple(c for c in columns if c not in out)
+        return list(classify_tail(_integrand(model, omega_0, (_ES, _F, _K)), window)), 0.0
+    triple = [cls if cls.tag is not DivergenceTag.CONVERGENT else None
+              for cls in classify_tail(_integrand(model, omega_0, (_ES, _F)), window)]
+    triple.append(0.0 if _k_vanishes(model) else None)
+    rest = tuple(c for c, v in enumerate(triple) if v is None)
     if not rest:
-        return out, 0.0
+        return triple, 0.0
     res = integrate_semi_infinite(
         _integrand(model, omega_0, rest), tol=tol,
         split_points=[omega_0, 2.0 * omega_0, *_cutoffs(model)], max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
-    out.update((c, scale * float(v)) for c, v in zip(rest, res.value))
-    return out, scale * float(res.abs_error_estimate.sum())
+    for c, v in zip(rest, res.value):
+        triple[c] = scale * float(v)
+    return triple, scale * float(res.abs_error_estimate.sum())
 
 
 def _require_system(M: float, omega_0: float) -> None:
@@ -458,7 +450,7 @@ def system_energy_0_cont(
     """E_s(0) by the fluctuation-dissipation integral over Im of the
     susceptibility; divergent families return their divergence class."""
     _require_system(M, omega_0)
-    return _continuous(model, omega_0, (_ES,), hbar, tol, max_evals)[0][_ES]
+    return _continuous(model, omega_0, hbar, tol, max_evals)[0][_ES]
 
 
 def free_energy_0_cont(
@@ -467,7 +459,7 @@ def free_energy_0_cont(
 ) -> EnergyOrDivergent:
     """F(0) by the logarithmic-derivative integrand w * Im(-G'/G)."""
     _require_system(M, omega_0)
-    return _continuous(model, omega_0, (_F,), hbar, tol, max_evals)[0][_F]
+    return _continuous(model, omega_0, hbar, tol, max_evals)[0][_F]
 
 
 def k_cont(
@@ -481,7 +473,7 @@ def k_cont(
     the finite part of their kernel, a negative logarithmic divergence.
     """
     _require_system(M, omega_0)
-    return _continuous(model, omega_0, (_K,), hbar, tol, max_evals)[0][_K]
+    return _continuous(model, omega_0, hbar, tol, max_evals)[0][_K]
 
 
 def thermo_report(
@@ -508,8 +500,7 @@ def thermo_report(
         k = f0 - es
         method = "closed-form"
     else:
-        values, err = _continuous(model, omega_0, (_ES, _F, _K), hbar, tol, max_evals)
-        es, f0, k = values[_ES], values[_F], values[_K]
+        (es, f0, k), err = _continuous(model, omega_0, hbar, tol, max_evals)
         method = ("divergence-classification"
                   if status.tag is StatusTag.VALID_BUT_K_DIVERGENT else "generic-quadrature")
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None

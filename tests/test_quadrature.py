@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import SingularityMisdeclared, principal_value_integral
 from oscbath.quadrature import (
     MAX_BATCH,
     DivergenceTag,
     Inconclusive,
     NonConvergence,
-    SingularityMisdeclared,
     classify_tail,
     integrate_interval,
     integrate_semi_infinite,
-    principal_value_integral,
 )
 
 mp.mp.dps = 30

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gamma_plus_generic
 from oscbath import specfun
 from oscbath.spectral import (
     Drude,
@@ -24,7 +25,6 @@ from oscbath.spectral import (
     g_plus_derivative,
     gamma_plus,
     gamma_plus_derivative,
-    gamma_plus_generic,
     gamma_t,
     j_omega,
     parse_model,

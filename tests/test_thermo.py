@@ -400,7 +400,7 @@ ENTRY_POINTS = ((thermo.system_energy_0_cont, "E_s0"),
 
 
 class TestOneRule:
-    """The single-column entry points follow the rule of the report."""
+    """The generic entry points follow the rule of the report."""
 
     def test_divergent_members_give_the_report_classes(self):
         for model in (ExtendedOhmic(1.0, 2), ExtendedDrude(1.0, 1.0, 4),
@@ -412,9 +412,7 @@ class TestOneRule:
                 assert value == getattr(rep, column), (model, column)
 
     def test_integrated_members_agree_with_the_report(self):
-        # each entry point integrates its own column on its own panels, so
-        # it agrees with the report's shared-panel column to the default
-        # tol; the (d,2) member's E_s and F keep the report's class
+        # the (d,2) member's E_s and F keep the report's class
         for model in (Exponential(1.0, 5.0), Exponential(2.2, 40.0),
                       ExtendedDrude(1.0, 5.0, 1), ExtendedDrude(0.5, 2.0, 1),
                       ExtendedDrude(1.0, 5.0, 2), ExtendedDrude(3.0, 0.7, 2)):
@@ -426,6 +424,18 @@ class TestOneRule:
                 else:
                     assert abs(value - want) < 1e-9, (model, column)
             assert isinstance(rep.K, float)
+
+    def test_entry_points_return_the_report_triple(self):
+        # one E_s/F/K triple per model, so each entry point gives the
+        # report's column exactly; the first three are narrow resonances at
+        # weak coupling, where a K column integrated alone misses the peak
+        # (1.0169e-9 for 3.5535e-9 on the first)
+        for model in (ExtendedDrude(1e-5, 3162.0, 1), ExtendedDrude(1e-5, 1000.0, 1),
+                      Exponential(1e-5, 0.1), Exponential(1.0, 5.0),
+                      ExtendedDrude(1.0, 5.0, 1), ExtendedDrude(1.0, 5.0, 2), Ohmic(1.0)):
+            rep = thermo.thermo_report(model, 1.0, 1.0)
+            for entry, column in ENTRY_POINTS:
+                assert entry(model, 1.0, 1.0) == getattr(rep, column), (model, column)
 
     def test_drude_closed_forms_equal_the_report(self):
         for g, wd, w0 in [(1.0, 5.0, 1.3), (0.3, 40.0, 0.7), (4.0, 0.5, 2.0)]:
