@@ -59,7 +59,7 @@ def _write(text: str, out_path: str | None) -> None:
 def cmd_report(args: argparse.Namespace) -> int:
     model = parse_model(args.model)
     rep = thermo.thermo_report(
-        model, args.mass, args.omega0, hbar=args.hbar, tol=args.tol,
+        model, 1.0, args.omega0, hbar=args.hbar, tol=args.tol,
         max_evals=args.max_evals,
     )
 
@@ -324,7 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "one continuous model")
     p.add_argument("--model", required=True, help='e.g. "drude g=1 wd=5"')
     p.add_argument("--omega0", type=float, required=True)
-    p.add_argument("--mass", type=float, default=1.0)
 
     grid = "--hbar --tol --max-evals --format --out"
     _subcommand(sub, "table1", cmd_table1, grid, "exponential-cutoff grid")
@@ -352,9 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NonConvergence, Inconclusive, ValueError) as exc:
+    except (NonConvergence, Inconclusive, ValueError, ArithmeticError) as exc:
         # ValueError covers bad input: InvalidModel, UnsupportedKernel,
-        # DegenerateBath, BathParseError and values out of range
+        # DegenerateBath, BathParseError and values out of range;
+        # ArithmeticError a bath whose potential matrix is not positive definite
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -61,8 +61,8 @@ class BathParseError(ValueError):
 class DiscreteBath:
     """System oscillator (M, omega_0) plus N bath oscillators (m_j, omega_j, c_j).
 
-    Bath frequencies must be strictly increasing and couplings nonzero so
-    that every susceptibility pole is simple.
+    Every value must be finite, bath frequencies strictly increasing and
+    couplings nonzero, so that every susceptibility pole is simple.
     """
 
     M: float
@@ -70,14 +70,16 @@ class DiscreteBath:
     oscillators: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        if not self.M > 0.0 or not self.omega_0 > 0.0:
-            raise ValueError("M and omega_0 must be positive")
+        if not (0.0 < self.M < math.inf and 0.0 < self.omega_0 < math.inf):
+            raise ValueError("M and omega_0 must be positive and finite")
         prev = 0.0
         for j, (m, w, c) in enumerate(self.oscillators):
-            if not m > 0.0 or not w > 0.0:
-                raise ValueError(f"oscillator {j}: mass and frequency must be positive")
-            if c == 0.0:
-                raise ValueError(f"oscillator {j}: zero coupling not allowed")
+            if not (0.0 < m < math.inf and 0.0 < w < math.inf):
+                raise ValueError(f"oscillator {j}: mass and frequency must be positive and finite")
+            if c == 0.0 or not math.isfinite(c):
+                raise ValueError(f"oscillator {j}: coupling must be nonzero and finite")
+            if not (m * w * w > 0.0 and math.isfinite(c * c / (m * w * w))):
+                raise ValueError(f"oscillator {j}: c^2/(m omega^2) must be finite")
             if w <= prev:
                 raise ValueError(
                     f"oscillator {j}: bath frequencies must be strictly increasing"

@@ -12,6 +12,10 @@ power, so every dispatch on a family covers them. Odd powers (p odd; n odd
 with n >= 3) have distributional kernels with no usable frequency-domain
 transform and are rejected; p = 2 and even n >= 4 are well defined but
 carry a log-divergent second-law deficit.
+
+Extended Ohmic p = 0 and 2 and Drude are the terms of the partial-fraction
+split x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2); one
+rule builds them and every even extended Drude kernel, q capped at 2.
 """
 
 from __future__ import annotations
@@ -137,31 +141,23 @@ class ModelStatus:
 def classify_model(model: SpectralModel) -> ModelStatus:
     """Physical validity of the damping family.
 
-    Odd extra powers produce a non-transformable P(1/t^2)-type kernel; even
-    extra powers beyond the weakly-divergent cases give log-divergent K with
-    negative sign.
+    One rule for the two power families: a power at or below the family's
+    last valid one (0 for extended Ohmic, 2 for extended Drude) is valid; an
+    odd power above it produces a non-transformable P(1/t^2)-type kernel; an
+    even power above it gives a log-divergent K with negative sign.
     """
-    if isinstance(model, ExtendedOhmic):
-        if model.p == 0:
-            return ModelStatus(StatusTag.VALID)
-        if model.p % 2 == 1:
-            return ModelStatus(
-                StatusTag.INVALID_KERNEL,
-                reason=f"extended Ohmic p={model.p}: kernel is a P(1/t^2)-type "
-                       "distribution with no frequency-domain transform",
-            )
-        return ModelStatus(StatusTag.VALID_BUT_K_DIVERGENT, sign="-")
-    if isinstance(model, ExtendedDrude):
-        n = model.n
-        if n in (0, 1, 2):
-            return ModelStatus(StatusTag.VALID)
-        if n % 2 == 1:
-            return ModelStatus(
-                StatusTag.INVALID_KERNEL,
-                reason=f"extended Drude n={n}: kernel contains a P(1/t^2) part",
-            )
-        return ModelStatus(StatusTag.VALID_BUT_K_DIVERGENT, sign="-")
-    return ModelStatus(StatusTag.VALID)
+    if isinstance(model, Exponential):
+        return ModelStatus(StatusTag.VALID)
+    ohmic = isinstance(model, ExtendedOhmic)
+    power, last = (model.p, 0) if ohmic else (model.n, 2)
+    if power <= last:
+        return ModelStatus(StatusTag.VALID)
+    if power % 2 == 1:
+        return ModelStatus(StatusTag.INVALID_KERNEL, reason=(
+            f"extended Ohmic p={power}: kernel is a P(1/t^2)-type distribution "
+            "with no frequency-domain transform" if ohmic else
+            f"extended Drude n={power}: kernel contains a P(1/t^2) part"))
+    return ModelStatus(StatusTag.VALID_BUT_K_DIVERGENT, sign="-")
 
 
 def _cutoffs(model: SpectralModel) -> list[float]:
@@ -214,34 +210,24 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     """The model's damping kernel at the real axis, resolved once.
 
     Checks validity and dispatches on the family once, and returns a closure
-    ``w -> (gamma_plus(w), gamma_plus'(w))`` that computes both values from
-    shared terms, elementwise: ``w`` is a float or an ndarray, and so are
-    the two complex values. The closure does not check ``w > 0``. The real
-    part of gamma_plus equals J(w)/(M w); the imaginary (reactive) part is
-    the principal-value transform of J. For the delta(0)-carrying members
-    (extended Ohmic p = 2, even extended Drude n >= 4) the closure returns
-    the finite part, the delta(0) weight dropped: enough to classify the
-    divergence, not to integrate it. Even extended Drude n >= 6 reuses the
-    n = 4 finite part.
+    ``w -> (gamma_plus(w), gamma_plus'(w))``, elementwise: a float ``w``
+    gives complex scalars, an ndarray complex ndarrays of its shape. The
+    closure does not check ``w > 0``. Re gamma_plus = J(w)/(M w); the
+    imaginary part is the principal-value transform of J. Exponential and
+    extended Drude n = 1 have closures of their own; every other member is
+    c0 + c2 x^2 + sign g omega_d/(omega_d - i w), x = w/g (Ohmic) or
+    w/omega_d (Drude), with (c0, c2, sign) = (g, 0, 0) at p = 0, (0, g, 0)
+    at p = 2, and (0, 0, +1), (g, 0, -1), (-g, g, +1) at n = 2q,
+    q = min(n // 2, 2). For the delta(0)-carrying members (p = 2, even
+    n >= 4) this is the finite part, the delta(0) weight dropped: enough to
+    classify the divergence, not to integrate it. The cap on q makes even
+    n >= 6 reuse the n = 4 finite part.
 
     Raises InvalidModel for a distributional kernel, and UnsupportedKernel
     for a divergent member without a finite part (extended Ohmic p >= 4).
     """
     _reject_invalid(model)
     g = model.gamma_o
-    if isinstance(model, ExtendedOhmic):
-        p = model.p
-        if p > 2:
-            raise UnsupportedKernel(
-                f"extended Ohmic p={p}: no finite-part kernel for the delta(0) weight"
-            )
-
-        def ohmic(w):
-            r = w / g
-            # the power of the derivative floored at 0: r^-1 overflows near w = 0
-            return g * r ** p + 0j, p * r ** max(p - 1, 0) + 0j
-
-        return ohmic
     if isinstance(model, Exponential):
         we = model.omega_e
         gpi = g / math.pi
@@ -254,47 +240,48 @@ def boundary_kernel(model: SpectralModel) -> Callable:
             return re + 1j * (gpi * (e1s + eis)), (1j * (gpi * (e1s - eis)) - re) / we
 
         return exponential
-    wd = model.omega_d
-    gwd = g * wd
-    if model.n == 0:
+    if isinstance(model, ExtendedOhmic):
+        if model.p > 2:
+            raise UnsupportedKernel(
+                f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
+            )
+        scale = g
+        c0, c2, sign = (g, 0.0, 0) if model.p == 0 else (0.0, g, 0)
+    else:
+        wd = scale = model.omega_d
+        if model.n == 1:
+            gwd = g * wd
+            wd2 = wd * wd
+            c_log = 2.0 / math.pi
 
-        def drude(w):
-            c = wd - 1j * w
-            gd = gwd / c
-            return gd, 1j * gd / c
+            def drude1(w):
+                denom = w * w + wd2
+                u = w / denom
+                du = (wd2 - w * w) / denom ** 2
+                lg = np.log(w / wd)
+                return (gwd * (u + 1j * (c_log * u * lg)),
+                        gwd * (du + 1j * (c_log * (du * lg + u / w))))
 
-        return drude
-    if model.n == 1:
-        wd2 = wd * wd
-        c_log = 2.0 / math.pi
+            return drude1
+        c0, c2, sign = ((0.0, 0.0, 1), (g, 0.0, -1), (-g, g, 1))[min(model.n // 2, 2)]
+    d2 = 2.0 * c2 / scale
+    sgwd = sign * g * scale
 
-        def drude1(w):
-            denom = w * w + wd2
-            u = w / denom
-            du = (wd2 - w * w) / denom ** 2
-            lg = np.log(w / wd)
-            return (gwd * (u + 1j * (c_log * u * lg)),
-                    gwd * (du + 1j * (c_log * (du * lg + u / w))))
+    def kernel(w):
+        zero = 0j * w  # shapes both values like w where a term is absent
+        gp, dgp = c0 + zero, zero
+        if c2:
+            x = w / scale
+            gp = gp + c2 * (x * x)
+            dgp = dgp + d2 * x
+        if sign:
+            c = scale - 1j * w
+            gd = sgwd / c
+            gp = gp + gd
+            dgp = dgp + 1j * gd / c
+        return gp, dgp
 
-        return drude1
-    if model.n == 2:
-
-        def drude2(w):
-            # Ohmic minus Drude
-            c = wd - 1j * w
-            gd = gwd / c
-            return g - gd, -1j * gd / c
-
-        return drude2
-    g_wd2 = g / (wd * wd)
-
-    def drude4_finite_part(w):
-        # Drude minus Ohmic plus g w^2 / wd^2
-        c = wd - 1j * w
-        gd = gwd / c
-        return gd - g + g_wd2 * w * w, 1j * gd / c + 2.0 * g_wd2 * w
-
-    return drude4_finite_part
+    return kernel
 
 
 def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:

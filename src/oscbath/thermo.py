@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
 
@@ -361,45 +361,35 @@ def k_extended_drude2_closed(
 # Generic quadrature paths (fluctuation-dissipation / log-derivative / Eq-31)
 
 
-def _tail_window(model: SpectralModel, omega_0: float) -> tuple[float, float]:
-    return 30.0 * max([omega_0, *_cutoffs(model)]), 1e8
-
-
 # columns of the fused integrand
 _ES, _F, _K = 0, 1, 2
 
 
-def _integrand(model: SpectralModel, omega_0: float, columns: tuple[int, ...]):
+def _integrand(kernel: Callable, omega_0: float, columns: tuple[int, ...]):
     """The E_s(0), F(0) and K integrands as one node-batched function.
 
-    Maps a 1-D ndarray of frequencies to rows of the requested ``columns``
-    of ``[E_s, F, K]``, from one ``boundary_kernel`` call. With
-    G = w^2 - w0^2 + i w gamma_plus and G' = 2w + i gamma_plus
-    + i w gamma_plus': E_s from (w0^2 + w^2) Im G / |G|^2, F from
-    w Im(-G'/G), K from Im(-i w^2 gamma_plus' / G). For the
-    delta(0)-carrying members the kernel is the finite part, on which only
-    the tail classes are meaningful.
+    Takes the model's ``boundary_kernel`` closure and maps a 1-D ndarray of
+    frequencies to rows of the requested ``columns`` of ``[E_s, F, K]``, in
+    that order, from one kernel call. With G = w^2 - w0^2 + i w gamma_plus
+    and G' = 2w + i gamma_plus + i w gamma_plus': E_s from
+    (w0^2 + w^2) Im G / |G|^2, F from w Im(-G'/G), K from
+    Im(-i w^2 gamma_plus' / G). For the delta(0)-carrying members the
+    kernel is the finite part, on which only the tail classes are meaningful.
     """
-    kernel = boundary_kernel(model)
     w0sq = omega_0 * omega_0
-
-    def es(w, w2, G, gp, dgp):
-        return (w0sq + w2) * G.imag / np.abs(G) ** 2
-
-    def f(w, w2, G, gp, dgp):
-        dG = 2.0 * w + 1j * gp + 1j * w * dgp
-        return w * (-(dG / G)).imag
-
-    def k(w, w2, G, gp, dgp):
-        return (w2 * (-1j * dgp) / G).imag
-
-    chosen = [(es, f, k)[c] for c in columns]
 
     def integrand(w: np.ndarray) -> np.ndarray:
         gp, dgp = kernel(w)
         w2 = w * w
         G = (w2 - w0sq) + 1j * w * gp
-        return np.stack([column(w, w2, G, gp, dgp) for column in chosen], axis=1)
+        rows = []
+        if _ES in columns:
+            rows.append((w0sq + w2) * G.imag / np.abs(G) ** 2)
+        if _F in columns:
+            rows.append(w * (-((2.0 * w + 1j * gp + 1j * w * dgp) / G)).imag)
+        if _K in columns:
+            rows.append((w2 * (-1j * dgp) / G).imag)
+        return np.stack(rows, axis=1)
 
     return integrand
 
@@ -420,17 +410,18 @@ def _continuous(
     rest are integrated as one shared-panel integral. Returns the triple and
     the summed error estimate of its values, both in energy units.
     """
-    window = _tail_window(model, omega_0)
+    kernel = boundary_kernel(model)
+    window = (30.0 * max([omega_0, *_cutoffs(model)]), 1e8)
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        return list(classify_tail(_integrand(model, omega_0, (_ES, _F, _K)), window)), 0.0
+        return list(classify_tail(_integrand(kernel, omega_0, (_ES, _F, _K)), window)), 0.0
     triple = [cls if cls.tag is not DivergenceTag.CONVERGENT else None
-              for cls in classify_tail(_integrand(model, omega_0, (_ES, _F)), window)]
+              for cls in classify_tail(_integrand(kernel, omega_0, (_ES, _F)), window)]
     triple.append(0.0 if _k_vanishes(model) else None)
     rest = tuple(c for c, v in enumerate(triple) if v is None)
     if not rest:
         return triple, 0.0
     res = integrate_semi_infinite(
-        _integrand(model, omega_0, rest), tol=tol,
+        _integrand(kernel, omega_0, rest), tol=tol,
         split_points=[omega_0, 2.0 * omega_0, *_cutoffs(model)], max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
     for c, v in zip(rest, res.value):

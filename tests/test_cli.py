@@ -1,10 +1,11 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import time
 
 import pytest
 
-from oscbath.cli import main
+from oscbath.cli import _build_parser, main
 
 GOOD_BATH = """\
 M 1.0
@@ -18,6 +19,21 @@ omega0 1.0
 1.0 1.0 1.0
 1.0 1.00000000000001 1.0
 """
+
+# bath files that must end in one error line: non-finite values, a weight
+# c^2/(m w^2) that overflows, and a valid bath whose potential matrix the
+# eigen-decomposition oracle finds not positive definite
+BAD_BATHS = {
+    "DEGENERATE_BATH": DEGENERATE_BATH,
+    "M_INF_BATH": "M inf\nomega0 1\n1 2 1\n",
+    "OMEGA0_NAN_BATH": "M 1\nomega0 nan\n1 2 1\n",
+    "MASS_INF_BATH": "M 1\nomega0 1\ninf 2 1\n",
+    "FREQ_INF_BATH": "M 1\nomega0 1\n1 inf 1\n",
+    "COUPLING_NAN_BATH": "M 1\nomega0 1\n1 2 nan\n",
+    "COUPLING_INF_BATH": "M 1\nomega0 1\n1 2 inf\n",
+    "WEIGHT_INF_BATH": "M 1\nomega0 1\n1e-300 1e-5 1e100\n",
+    "TINY_MASS_BATH": "M 1\nomega0 1\n1e-30 2 1\n",
+}
 
 
 class TestReport:
@@ -240,6 +256,27 @@ class TestCheck:
         assert "[FAIL]" not in out
 
 
+class TestOptionSurface:
+    def test_options_of_each_subcommand(self):
+        # every settable value of every subcommand: a new option changes this test
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {
+            name: sorted(s for a in p._actions for s in (a.option_strings or [a.dest])
+                         if s not in ("-h", "--help"))
+            for name, p in sub.choices.items()
+        }
+        grid = sorted(["--hbar", "--tol", "--max-evals", "--format", "--out"])
+        assert surface == {
+            "report": sorted(["--hbar", "--tol", "--max-evals", "--out", "--model", "--omega0"]),
+            "table1": grid,
+            "table2": grid,
+            "fig1": sorted(["--hbar", "--format", "--out"]),
+            "discrete": sorted(["--hbar", "--out", "--seed", "bathfile", "--random", "--count"]),
+            "check": sorted(["--hbar", "--tol", "--max-evals", "--seed", "--baths"]),
+        }
+
+
 class TestBadValues:
     @pytest.mark.parametrize("argv", [
         ["table1", "--tol", "-1"],
@@ -255,10 +292,12 @@ class TestBadValues:
         # options a subcommand does not read are rejected
         ["check", "--baths", "1", "--out", "check.txt"],
         ["fig1", "--tol", "1e-3"],
+        *(["discrete", name] for name in BAD_BATHS if name != "DEGENERATE_BATH"),
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "DEGENERATE_BATH").write_text(DEGENERATE_BATH)
+        for name, text in BAD_BATHS.items():
+            (tmp_path / name).write_text(text)
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 1

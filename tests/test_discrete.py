@@ -141,6 +141,16 @@ class TestEdgeCases:
             DiscreteBath(1.0, 1.0, ((1.0, 2.0, 1.0), (1.0, 2.0, 1.0)))  # duplicate
         with pytest.raises(ValueError):
             DiscreteBath(0.0, 1.0, ())
+        # non-finite values, and a finite coupling whose weight c^2/(m w^2) overflows
+        inf, nan = math.inf, math.nan
+        for M, w0, osc in [(inf, 1.0, (1.0, 2.0, 1.0)), (nan, 1.0, (1.0, 2.0, 1.0)),
+                           (1.0, inf, (1.0, 2.0, 1.0)), (1.0, nan, (1.0, 2.0, 1.0)),
+                           (1.0, 1.0, (inf, 2.0, 1.0)), (1.0, 1.0, (nan, 2.0, 1.0)),
+                           (1.0, 1.0, (1.0, inf, 1.0)), (1.0, 1.0, (1.0, nan, 1.0)),
+                           (1.0, 1.0, (1.0, 2.0, inf)), (1.0, 1.0, (1.0, 2.0, nan)),
+                           (1.0, 1.0, (1e-300, 1e-5, 1e100))]:
+            with pytest.raises(ValueError):
+                DiscreteBath(M, w0, (osc,))
 
     def test_d_chi_overflow_raises(self):
         bath = DiscreteBath(1.0, 1.0, tuple((1.0, float(w), 1.0) for w in range(100, 500)))

@@ -4,6 +4,7 @@ and validity classification."""
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,7 +154,40 @@ class TestGammaPlus:
                 assert ana.imag == pytest.approx(num.imag, abs=1e-6)
 
 
+KERNEL_MODELS = [Ohmic(1.3), ExtendedOhmic(1.3, 2), Drude(1.3, 4.0), Exponential(1.3, 4.0),
+                 *(ExtendedDrude(1.3, 4.0, n) for n in (1, 2, 4, 6))]
+
+
 class TestBoundaryKernel:
+    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=repr)
+    def test_shapes_and_types(self, model):
+        # an ndarray gives two complex ndarrays of its shape, also where the
+        # derivative is identically 0; a float gives two complex scalars
+        kernel = boundary_kernel(model)
+        w = np.array([1e-3, 0.7, 7.5, 1e4])
+        for value in kernel(w):
+            assert isinstance(value, np.ndarray)
+            assert value.shape == w.shape and value.dtype == np.complex128
+        for value in kernel(0.7):
+            assert isinstance(value, complex)
+
+    def test_exact_values(self):
+        # the members of the partial-fraction rule against their textbook forms
+        g, wd = 1.3, 4.0
+        w = np.array([1e-6, 1e-3, 0.7, 4.0, 7.5, 1e4, 1e8])
+        c = wd - 1j * w
+        d = g * wd / c
+        cases = [
+            (Ohmic(g), np.full(w.shape, g + 0j), np.zeros(w.shape, complex)),
+            (ExtendedOhmic(g, 2), g * (w / g) ** 2 + 0j, 2.0 * (w / g) + 0j),
+            (Drude(g, wd), d, 1j * d / c),
+            (ExtendedDrude(g, wd, 2), g - d, -1j * d / c),
+        ]
+        for model, gp, dgp in cases:
+            got_gp, got_dgp = boundary_kernel(model)(w)
+            np.testing.assert_array_equal(got_gp, gp)
+            np.testing.assert_array_equal(got_dgp, dgp)
+
     def test_finite_part_of_divergent_members(self):
         # the delta(0) weight is dropped: the real part is still J/(M w),
         # and gamma_plus' is the derivative of gamma_plus
