@@ -49,11 +49,8 @@ from .spectral import (
     UnsupportedKernel,
     classify_model,
     g_plus,
-    g_plus_derivative,
     gamma_plus,
     gamma_plus_derivative,
-    gamma_t,
-    j_omega,
     parse_model,
 )
 from .thermo import (
@@ -61,8 +58,6 @@ from .thermo import (
     ThermoReport,
     drude_params_from_physical,
     drude_params_to_physical,
-    es_drude_closed,
-    f_drude_closed,
     free_energy_0_cont,
     k_cont,
     k_drude_closed,

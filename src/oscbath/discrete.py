@@ -61,8 +61,9 @@ class BathParseError(ValueError):
 class DiscreteBath:
     """System oscillator (M, omega_0) plus N bath oscillators (m_j, omega_j, c_j).
 
-    Every value must be finite, bath frequencies strictly increasing and
-    couplings nonzero, so that every susceptibility pole is simple.
+    Every value must be finite, and so must gamma(0); bath frequencies
+    strictly increasing and couplings nonzero, so that every susceptibility
+    pole is simple.
     """
 
     M: float
@@ -72,7 +73,7 @@ class DiscreteBath:
     def __post_init__(self):
         if not (0.0 < self.M < math.inf and 0.0 < self.omega_0 < math.inf):
             raise ValueError("M and omega_0 must be positive and finite")
-        prev = 0.0
+        prev = gamma0 = 0.0
         for j, (m, w, c) in enumerate(self.oscillators):
             if not (0.0 < m < math.inf and 0.0 < w < math.inf):
                 raise ValueError(f"oscillator {j}: mass and frequency must be positive and finite")
@@ -80,6 +81,10 @@ class DiscreteBath:
                 raise ValueError(f"oscillator {j}: coupling must be nonzero and finite")
             if not (m * w * w > 0.0 and math.isfinite(c * c / (m * w * w))):
                 raise ValueError(f"oscillator {j}: c^2/(m omega^2) must be finite")
+            gamma0 += c * c / (m * w * w) / self.M
+            if not math.isfinite(gamma0):
+                raise ValueError(
+                    f"oscillator {j}: gamma(0) = sum c^2/(m omega^2 M) must be finite")
             if w <= prev:
                 raise ValueError(
                     f"oscillator {j}: bath frequencies must be strictly increasing"

@@ -1,5 +1,5 @@
-"""Continuous damping families: spectral densities J(w), time-domain kernels,
-frequency-domain boundary values gamma_plus(w), and validity classification.
+"""Continuous damping families: the validity of each family and the boundary
+value gamma_plus(w) of its frequency-domain damping kernel.
 
 Every gamma_plus is a closed form, resolved once per model by
 :func:`boundary_kernel`; nothing here integrates.
@@ -42,12 +42,9 @@ __all__ = [
     "UnsupportedKernel",
     "classify_model",
     "boundary_kernel",
-    "j_omega",
-    "gamma_t",
     "gamma_plus",
     "gamma_plus_derivative",
     "g_plus",
-    "g_plus_derivative",
     "parse_model",
 ]
 
@@ -69,6 +66,8 @@ def _require_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class Exponential:
+    """J(w) = M gamma_o w exp(-w/omega_e)."""
+
     gamma_o: float
     omega_e: float
 
@@ -173,37 +172,6 @@ def _reject_invalid(model: SpectralModel) -> None:
     status = classify_model(model)
     if status.tag is StatusTag.INVALID_KERNEL:
         raise InvalidModel(str(status))
-
-
-def j_omega(model: SpectralModel, M: float, omega: float) -> float:
-    """Spectral density J(w) for w > 0."""
-    _reject_invalid(model)
-    w = _require_positive("omega", omega)
-    g = model.gamma_o
-    if isinstance(model, Exponential):
-        return M * g * w * math.exp(-w / model.omega_e)
-    if isinstance(model, ExtendedOhmic):
-        return M * g * w * (w / g) ** model.p
-    wd = model.omega_d
-    return M * g * w * (w / wd) ** model.n * wd * wd / (w * w + wd * wd)
-
-
-def gamma_t(model: SpectralModel, t: float) -> float:
-    """Time-domain damping kernel for models whose kernel is an ordinary function."""
-    _require_positive("t", t)
-    _reject_invalid(model)
-    g = model.gamma_o
-    if isinstance(model, ExtendedDrude) and model.n == 0:
-        return g * model.omega_d * math.exp(-model.omega_d * t)
-    if isinstance(model, Exponential):
-        we = model.omega_e
-        return (2.0 / math.pi) * g * we / (1.0 + (we * t) ** 2)
-    if isinstance(model, ExtendedDrude) and model.n == 1:
-        e1s, eis = specfun.exp_e1_ei(model.omega_d * t)
-        return (g * model.omega_d / math.pi) * (e1s - eis)
-    raise UnsupportedKernel(
-        f"{type(model).__name__}: time-domain kernel is distributional or unknown"
-    )
 
 
 def boundary_kernel(model: SpectralModel) -> Callable:
@@ -316,14 +284,6 @@ def g_plus(model: SpectralModel, M: float, omega_0: float, omega: float) -> comp
     return complex(omega * omega - omega_0 * omega_0, 0.0) + 1j * omega * gp
 
 
-def g_plus_derivative(
-    model: SpectralModel, M: float, omega_0: float, omega: float
-) -> complex:
-    """dG_+/dw = 2w + i gamma_plus + i w gamma_plus'."""
-    gp, dgp = _kernel_at(model, omega)
-    return 2.0 * omega + 1j * gp + 1j * omega * dgp
-
-
 _MODEL_KEYS = {
     "ohmic": (Ohmic, {"g": "gamma_o"}),
     "drude": (Drude, {"g": "gamma_o", "wd": "omega_d"}),
@@ -359,6 +319,8 @@ def parse_model(text: str) -> SpectralModel:
                 f"unknown parameter '{key}' for model '{name}' at position {pos}"
             )
         attr = keymap[key]
+        if attr in kwargs:
+            raise ValueError(f"duplicate parameter '{key}' at position {pos}")
         try:
             kwargs[attr] = int(raw) if attr in ("p", "n") else float(raw)
         except ValueError as exc:

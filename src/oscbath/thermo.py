@@ -62,8 +62,6 @@ __all__ = [
     "system_energy_0_cont",
     "free_energy_0_cont",
     "k_cont",
-    "es_drude_closed",
-    "f_drude_closed",
     "k_drude_closed",
     "k_drude_lambda",
     "k_exponential",
@@ -185,20 +183,6 @@ def _drude_es_f(
     f = (Om + g) * math.log((Om + g) / Om) + g * lg + 2.0 * w1sq * t
     scale = hbar / (2.0 * math.pi)
     return scale * (omega_0 ** 2 * i0 + i2), scale * f
-
-
-def es_drude_closed(
-    omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
-) -> float:
-    """Exact Drude excess-bearing system energy E_s(0)."""
-    return _drude_es_f(omega_0, omega_d, gamma_o, hbar)[0]
-
-
-def f_drude_closed(
-    omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
-) -> float:
-    """Exact Drude coupling free energy F(0)."""
-    return _drude_es_f(omega_0, omega_d, gamma_o, hbar)[1]
 
 
 def k_drude_closed(

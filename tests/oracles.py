@@ -4,8 +4,9 @@ The package computes gamma_plus from closed forms (``spectral.boundary_kernel``)
 and never needs a principal value. These routes compute the same kernel the
 long way, as the principal-value transform of J(w) on the package's own
 quadrature engine, so the closed forms can be checked against something that
-shares none of their algebra. They live here, not in ``oscbath``, because no
-program path runs them.
+shares none of their algebra. The spectral density J(w) itself, their input,
+and dG_+/dw, the analytic side of finite-difference checks, live here too.
+None of them is in ``oscbath``, because no program path runs them.
 """
 
 from __future__ import annotations
@@ -23,12 +24,35 @@ from oscbath.quadrature import (
     integrate_semi_infinite,
 )
 from oscbath.spectral import (
+    Exponential,
+    ExtendedOhmic,
     SpectralModel,
     _cutoffs,
+    _kernel_at,
     _reject_invalid,
     _require_positive,
-    j_omega,
 )
+
+
+def j_omega(model: SpectralModel, M: float, omega: float) -> float:
+    """Spectral density J(w) for w > 0."""
+    _reject_invalid(model)
+    w = _require_positive("omega", omega)
+    g = model.gamma_o
+    if isinstance(model, Exponential):
+        return M * g * w * math.exp(-w / model.omega_e)
+    if isinstance(model, ExtendedOhmic):
+        return M * g * w * (w / g) ** model.p
+    wd = model.omega_d
+    return M * g * w * (w / wd) ** model.n * wd * wd / (w * w + wd * wd)
+
+
+def g_plus_derivative(
+    model: SpectralModel, M: float, omega_0: float, omega: float
+) -> complex:
+    """dG_+/dw = 2w + i gamma_plus + i w gamma_plus'."""
+    gp, dgp = _kernel_at(model, omega)
+    return 2.0 * omega + 1j * gp + 1j * omega * dgp
 
 
 class SingularityMisdeclared(ValueError):

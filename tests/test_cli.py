@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import goldens
 from oscbath.cli import _build_parser, main
 
 GOOD_BATH = """\
@@ -21,8 +22,9 @@ omega0 1.0
 """
 
 # bath files that must end in one error line: non-finite values, a weight
-# c^2/(m w^2) that overflows, and a valid bath whose potential matrix the
-# eigen-decomposition oracle finds not positive definite
+# c^2/(m w^2) or a gamma(0) = sum weight/M that overflows, and a valid bath
+# whose potential matrix the eigen-decomposition oracle finds not positive
+# definite
 BAD_BATHS = {
     "DEGENERATE_BATH": DEGENERATE_BATH,
     "M_INF_BATH": "M inf\nomega0 1\n1 2 1\n",
@@ -33,6 +35,7 @@ BAD_BATHS = {
     "COUPLING_INF_BATH": "M 1\nomega0 1\n1 2 inf\n",
     "WEIGHT_INF_BATH": "M 1\nomega0 1\n1e-300 1e-5 1e100\n",
     "TINY_MASS_BATH": "M 1\nomega0 1\n1e-30 2 1\n",
+    "GAMMA0_INF_BATH": "M 1e-300\nomega0 1\n1 2 1e10\n",
 }
 
 
@@ -147,6 +150,21 @@ class TestGrids:
         assert len(lines) == 1 + 3 * 59
         for line in lines[1:]:
             assert float(line.split(",")[2]) < 0.0
+
+    @pytest.mark.parametrize("hbar", ["0.4", "2.5"])
+    def test_tables_match_the_goldens_at_any_hbar(self, hbar, capsys):
+        # both tables are normalized by E_g, so hbar cancels
+        assert main(["table1", "--hbar", hbar]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+        for row, want in zip(rows, goldens.EXACT_TABLE1, strict=True):
+            for cell, value in zip(row[1:], want, strict=True):
+                assert abs(float(cell) - value) < 5e-8, (row[0], cell, value)
+        assert main(["table2", "--hbar", hbar]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        for line, (key, want) in zip(lines, goldens.EXACT_TABLE2.items(), strict=True):
+            w0, wd, kd, kd1 = map(float, line.split(","))
+            assert (w0, wd) == key
+            assert abs(kd - want[0]) < 5e-8 and abs(kd1 - want[1]) < 5e-8, key
 
     def test_table_format(self, capsys):
         assert main(["table2", "--format", "table"]) == 0
@@ -293,6 +311,7 @@ class TestBadValues:
         ["check", "--baths", "1", "--out", "check.txt"],
         ["fig1", "--tol", "1e-3"],
         *(["discrete", name] for name in BAD_BATHS if name != "DEGENERATE_BATH"),
+        ["report", "--model", "drude g=1 wd=5 wd=7", "--omega0", "1"],
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -305,3 +324,14 @@ class TestBadValues:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
         assert not (tmp_path / "check.txt").exists()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "defect 13 (ROADMAP direction 6): a weight c^2/(m w^2) = 2.5e299 "
+        "overflows in the secular step at (t - f) ** 2"))
+    def test_huge_weight_bath_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bath.txt"
+        path.write_text("M 1\nomega0 1\n1e-300 2 1\n")
+        rc = main(["discrete", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("error:") == 1

@@ -141,14 +141,15 @@ class TestEdgeCases:
             DiscreteBath(1.0, 1.0, ((1.0, 2.0, 1.0), (1.0, 2.0, 1.0)))  # duplicate
         with pytest.raises(ValueError):
             DiscreteBath(0.0, 1.0, ())
-        # non-finite values, and a finite coupling whose weight c^2/(m w^2) overflows
+        # non-finite values, a finite coupling whose weight c^2/(m w^2)
+        # overflows, and a finite weight whose gamma(0) = weight/M overflows
         inf, nan = math.inf, math.nan
         for M, w0, osc in [(inf, 1.0, (1.0, 2.0, 1.0)), (nan, 1.0, (1.0, 2.0, 1.0)),
                            (1.0, inf, (1.0, 2.0, 1.0)), (1.0, nan, (1.0, 2.0, 1.0)),
                            (1.0, 1.0, (inf, 2.0, 1.0)), (1.0, 1.0, (nan, 2.0, 1.0)),
                            (1.0, 1.0, (1.0, inf, 1.0)), (1.0, 1.0, (1.0, nan, 1.0)),
                            (1.0, 1.0, (1.0, 2.0, inf)), (1.0, 1.0, (1.0, 2.0, nan)),
-                           (1.0, 1.0, (1e-300, 1e-5, 1e100))]:
+                           (1.0, 1.0, (1e-300, 1e-5, 1e100)), (1e-300, 1.0, (1.0, 2.0, 1e10))]:
             with pytest.raises(ValueError):
                 DiscreteBath(M, w0, (osc,))
 

@@ -1,16 +1,14 @@
-"""Spectral densities, damping kernels, frequency-domain boundary values,
+"""The spectral-density oracle, frequency-domain boundary values, model parsing
 and validity classification."""
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gamma_plus_generic
-from oscbath import specfun
+from oracles import g_plus_derivative, gamma_plus_generic, j_omega
 from oscbath.spectral import (
     Drude,
     Exponential,
@@ -23,15 +21,10 @@ from oscbath.spectral import (
     boundary_kernel,
     classify_model,
     g_plus,
-    g_plus_derivative,
     gamma_plus,
     gamma_plus_derivative,
-    gamma_t,
-    j_omega,
     parse_model,
 )
-
-mp.mp.dps = 30
 
 
 class TestSpectralDensity:
@@ -58,34 +51,6 @@ class TestSpectralDensity:
         for m in models:
             for w in (0.01, 0.1, 1.0, 10.0, 100.0):
                 assert j_omega(m, 1.0, w) >= 0.0
-
-
-class TestTimeDomainKernel:
-    def test_drude_initial_value(self):
-        assert gamma_t(Drude(2.0, 3.0), 1e-12) == pytest.approx(6.0, rel=1e-9)
-
-    def test_exponential_value(self):
-        assert gamma_t(Exponential(1.0, 1.0), 1.0) == pytest.approx(1.0 / math.pi)
-
-    def test_extended_drude_n1_oracle(self):
-        # kernel combination of Ei, E1, sinh, cosh at omega_d t = 1
-        g, wd, t = 1.3, 2.0, 0.5
-        x = wd * t
-        expected = float(
-            (g * wd / mp.pi)
-            * ((mp.ei(x) + mp.e1(x)) * mp.sinh(x) - (mp.ei(x) - mp.e1(x)) * mp.cosh(x))
-        )
-        assert gamma_t(ExtendedDrude(g, wd, 1), t) == pytest.approx(expected, rel=1e-12)
-
-    def test_monotone_decreasing(self):
-        for m in (Drude(1.0, 2.0), Exponential(1.0, 2.0)):
-            vals = [gamma_t(m, t) for t in (0.1, 0.5, 1.0, 2.0)]
-            assert all(a > b > 0.0 for a, b in zip(vals, vals[1:]))
-
-    def test_distributional_unsupported(self):
-        for m in (Ohmic(1.0), ExtendedDrude(1.0, 1.0, 2), ExtendedOhmic(1.0, 2)):
-            with pytest.raises(UnsupportedKernel):
-                gamma_t(m, 1.0)
 
 
 class TestGammaPlus:
@@ -140,7 +105,6 @@ class TestGammaPlus:
         for w in (0.2, 1.0, 7.0):
             assert gamma_plus(d, 1.0, w) == gamma_plus(x, 1.0, w)
             assert j_omega(d, 1.0, w) == pytest.approx(j_omega(x, 1.0, w), rel=1e-14)
-            assert gamma_t(d, w) == gamma_t(x, w)
 
     def test_derivative_matches_finite_difference(self):
         models = [Drude(1.0, 2.0), Exponential(1.0, 2.0),
@@ -312,6 +276,10 @@ class TestParseModel:
     def test_missing_parameters(self):
         with pytest.raises(ValueError, match="missing"):
             parse_model("drude g=1")
+
+    def test_duplicate_key_reports_position(self):
+        with pytest.raises(ValueError, match="duplicate parameter 'wd' at position 3"):
+            parse_model("drude g=1 wd=5 wd=7")
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):

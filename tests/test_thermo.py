@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
+from oracles import g_plus_derivative
 from oscbath.quadrature import DivergenceClass, DivergenceTag
 from oscbath.spectral import (
     Drude,
@@ -19,7 +20,6 @@ from oscbath.spectral import (
     InvalidModel,
     Ohmic,
     g_plus,
-    g_plus_derivative,
 )
 from oscbath import specfun, thermo
 
@@ -79,8 +79,9 @@ class TestDrudeConsistency:
         model = Drude(1.0, 1.0)
         es_q = thermo.system_energy_0_cont(model, 1.0, 1.0, tol=1e-10)
         f_q = thermo.free_energy_0_cont(model, 1.0, 1.0, tol=1e-10)
-        assert thermo.es_drude_closed(1.0, 1.0, 1.0) == pytest.approx(es_q, abs=1e-7)
-        assert thermo.f_drude_closed(1.0, 1.0, 1.0) == pytest.approx(f_q, abs=1e-7)
+        rep = thermo.thermo_report(model, 1.0, 1.0)
+        assert rep.E_s0 == pytest.approx(es_q, abs=1e-7)
+        assert rep.F0 == pytest.approx(f_q, abs=1e-7)
 
     def test_triangle_on_table_grid(self):
         for w0 in goldens.TABLE2_GRID:
@@ -101,9 +102,8 @@ class TestDrudeConsistency:
         for w0 in goldens.TABLE2_GRID:
             for wd in goldens.TABLE2_GRID:
                 assert thermo.k_drude_closed(w0, wd, 1.0) > 0.0
-                f = thermo.f_drude_closed(w0, wd, 1.0)
-                es = thermo.es_drude_closed(w0, wd, 1.0)
-                assert f > es > 0.5 * w0  # F > E_s > bare ground state
+                rep = thermo.thermo_report(Drude(1.0, wd), 1.0, w0)
+                assert rep.F0 > rep.E_s0 > 0.5 * w0  # F > E_s > bare ground state
 
     def test_continuity_across_critical_damping(self):
         # one-sided physical parameters straddling w0 = gamma/2
@@ -373,8 +373,9 @@ class TestDivergentFamilies:
 
 class TestDecoupledLimits:
     def test_drude_weak_coupling(self):
-        assert thermo.es_drude_closed(1.0, 1.0, 1e-7) == pytest.approx(0.5, abs=1e-6)
-        assert thermo.f_drude_closed(1.0, 1.0, 1e-7) == pytest.approx(0.5, abs=1e-6)
+        rep = thermo.thermo_report(Drude(1e-7, 1.0), 1.0, 1.0)
+        assert rep.E_s0 == pytest.approx(0.5, abs=1e-6)
+        assert rep.F0 == pytest.approx(0.5, abs=1e-6)
         assert thermo.k_drude_closed(1.0, 1.0, 1e-7) == pytest.approx(0.0, abs=1e-7)
 
 
@@ -440,8 +441,6 @@ class TestOneRule:
     def test_drude_closed_forms_equal_the_report(self):
         for g, wd, w0 in [(1.0, 5.0, 1.3), (0.3, 40.0, 0.7), (4.0, 0.5, 2.0)]:
             rep = thermo.thermo_report(Drude(g, wd), 1.0, w0, hbar=1.7)
-            assert thermo.es_drude_closed(w0, wd, g, hbar=1.7) == rep.E_s0
-            assert thermo.f_drude_closed(w0, wd, g, hbar=1.7) == rep.F0
             assert thermo.k_drude_closed(w0, wd, g, hbar=1.7) == rep.K
 
 class TestThermoReport:
