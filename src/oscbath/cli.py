@@ -10,6 +10,7 @@ integral that misses its tolerance within its budget, 2 invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -313,6 +314,7 @@ def _subcommand(sub, name: str, func, shared: str, summary: str) -> argparse.Arg
     return p
 
 
+@functools.cache  # parse_args stores nothing on the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscbath",
@@ -344,9 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

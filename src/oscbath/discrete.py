@@ -52,9 +52,15 @@ class DegenerateBath(ValueError):
 
 
 class BathParseError(ValueError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, message: str, line_no: int | None):  # None: the whole file
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class _OscillatorError(ValueError):
+    def __init__(self, index: int, message: str):  # index counts from 1
+        super().__init__(f"oscillator {index}: {message}")
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -74,21 +80,18 @@ class DiscreteBath:
         if not (0.0 < self.M < math.inf and 0.0 < self.omega_0 < math.inf):
             raise ValueError("M and omega_0 must be positive and finite")
         prev = gamma0 = 0.0
-        for j, (m, w, c) in enumerate(self.oscillators):
+        for j, (m, w, c) in enumerate(self.oscillators, start=1):
             if not (0.0 < m < math.inf and 0.0 < w < math.inf):
-                raise ValueError(f"oscillator {j}: mass and frequency must be positive and finite")
+                raise _OscillatorError(j, "mass and frequency must be positive and finite")
             if c == 0.0 or not math.isfinite(c):
-                raise ValueError(f"oscillator {j}: coupling must be nonzero and finite")
+                raise _OscillatorError(j, "coupling must be nonzero and finite")
             if not (m * w * w > 0.0 and math.isfinite(c * c / (m * w * w))):
-                raise ValueError(f"oscillator {j}: c^2/(m omega^2) must be finite")
+                raise _OscillatorError(j, "c^2/(m omega^2) must be finite")
             gamma0 += c * c / (m * w * w) / self.M
             if not math.isfinite(gamma0):
-                raise ValueError(
-                    f"oscillator {j}: gamma(0) = sum c^2/(m omega^2 M) must be finite")
+                raise _OscillatorError(j, "gamma(0) = sum c^2/(m omega^2 M) must be finite")
             if w <= prev:
-                raise ValueError(
-                    f"oscillator {j}: bath frequencies must be strictly increasing"
-                )
+                raise _OscillatorError(j, "bath frequencies must be strictly increasing")
             prev = w
 
     @property
@@ -362,7 +365,7 @@ def parse_bath_file(text: str) -> DiscreteBath:
     """
     M = None
     omega_0 = None
-    oscillators = []
+    oscillators, lines = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -381,14 +384,17 @@ def parse_bath_file(text: str) -> DiscreteBath:
                 if len(parts) != 3:
                     raise ValueError("expected '<m_j> <omega_j> <c_j>'")
                 oscillators.append(tuple(float(p) for p in parts))
+                lines.append(line_no)
         except (ValueError, IndexError) as exc:
             raise BathParseError(str(exc), line_no) from None
     if M is None or omega_0 is None:
-        raise BathParseError("missing 'M' or 'omega0' header line", 0)
+        raise BathParseError("missing 'M' or 'omega0' header line", None)
     try:
         return DiscreteBath(M, omega_0, tuple(oscillators))
+    except _OscillatorError as exc:
+        raise BathParseError(str(exc), lines[exc.index - 1]) from None
     except ValueError as exc:
-        raise BathParseError(str(exc), 0) from None
+        raise BathParseError(str(exc), None) from None
 
 
 def invariant_violations(bath: DiscreteBath, hbar: float = 1.0) -> list[str]:

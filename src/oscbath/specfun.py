@@ -221,12 +221,11 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
     e1s, eis = np.where(cheb, 1.0, np.where(series, x, u)) * b1
     i = np.flatnonzero(series)
     if i.size:
-        # E1 = -gamma - ln x + ..., Ei = gamma + ln x + ..., with math's exp and log
+        # E1 = -gamma - ln x + ..., Ei = gamma + ln x + ...
         xs = x[i]
-        xi = xs.tolist()
-        q = np.array([EULER_GAMMA + math.log(v) for v in xi])
-        decay = np.array([math.exp(-v) for v in xi])
-        e1s[i] = np.array([math.exp(v) for v in xi]) * (-q + e1s[i])
+        q = EULER_GAMMA + np.log(xs)
+        decay = np.exp(-xs)
+        e1s[i] = np.exp(xs) * (-q + e1s[i])
         eis[i] = decay * (q + eis[i])
         near = np.flatnonzero(np.abs(xs - _EI_ZERO[0]) < 1e-3)
         if near.size:

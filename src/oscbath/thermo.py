@@ -242,13 +242,14 @@ def k_exponential(
     pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
 
     def integrand(lam: np.ndarray) -> np.ndarray:
-        # the node terms first, then one (nodes, entries) pass
+        # Im(a/b) in real arithmetic: node terms first, then one (nodes, entries) pass
         e1s, eis = specfun.exp_e1_ei(lam)
-        pe = 1j * (math.pi * np.exp(-lam))
         lam2 = lam * lam
-        f1 = (lam2 * (e1s - eis + pe))[:, None]
-        f2 = we2 * lam2[:, None] - w0sq + damp * (lam * (pe - (e1s + eis)))[:, None]
-        return pref * (f1 / f2).imag
+        pe = math.pi * np.exp(-lam)
+        ar, ai = (lam2 * (e1s - eis))[:, None], (lam2 * pe)[:, None]
+        br = we2 * lam2[:, None] - w0sq - damp * (lam * (e1s + eis))[:, None]
+        bi = damp * (lam * pe)[:, None]
+        return pref * (ai * br - ar * bi) / (br * br + bi * bi)
 
     r0 = (omega_0 / omega_e).ravel()
     splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
@@ -285,13 +286,15 @@ def k_extended_drude1(
     c_log = 2.0 / math.pi
 
     def integrand(lam: np.ndarray) -> np.ndarray:
+        # Im of lam^2 (ar + i ai) / ((lam^2 + ld^2)(br + i bi)), in real arithmetic
         lam = lam[:, None]
         lam2 = lam * lam
         lg = np.log(lam / ld)
-        g1 = lam2 * (c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2) + 1j * (ld * (lam2 - ld2)))
-        g2 = (lam2 + ld2) * (
-            (lam2 - l02) * (lam2 + ld2) - c_log * ld * lam2 * lg + 1j * (ld * lam2))
-        return (g1 / g2).imag
+        ar = c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2)
+        ai = ld * (lam2 - ld2)
+        br = (lam2 - l02) * (lam2 + ld2) - c_log * ld * lam2 * lg
+        bi = ld * lam2
+        return lam2 * (ai * br - ar * bi) / ((lam2 + ld2) * (br * br + bi * bi))
 
     splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
     res = integrate_semi_infinite(

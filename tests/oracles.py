@@ -5,8 +5,10 @@ and never needs a principal value. These routes compute the same kernel the
 long way, as the principal-value transform of J(w) on the package's own
 quadrature engine, so the closed forms can be checked against something that
 shares none of their algebra. The spectral density J(w) itself, their input,
-and dG_+/dw, the analytic side of finite-difference checks, live here too.
-None of them is in ``oscbath``, because no program path runs them.
+and dG_+/dw, the analytic side of finite-difference checks, live here too,
+as do the integrands of the two lambda forms of K written as complex
+quotients, the references for their real-arithmetic forms. None of them
+is in ``oscbath``, because no program path runs them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from oscbath.spectral import (
     _reject_invalid,
     _require_positive,
 )
+from oscbath.specfun import exp_e1_ei
 
 
 def j_omega(model: SpectralModel, M: float, omega: float) -> float:
@@ -132,3 +135,36 @@ def gamma_plus_generic(
     splits = [w / 2, 2 * w, *_cutoffs(model)]
     res = principal_value_integral(integrand, w, tol=tol, split_points=splits)
     return complex(re, res.value / M)
+
+
+def k_exponential_integrand(
+    omega_0: float, omega_e: np.ndarray, gamma_o: np.ndarray, lam: np.ndarray,
+    hbar: float = 1.0,
+) -> np.ndarray:
+    """The integrand of ``thermo.k_exponential`` over lam = w/omega_e as the
+    imaginary part of one complex quotient, at nodes ``lam`` (shape (n,))
+    for parameter rows of shape (1, m); the result has shape (n, m)."""
+    we2 = omega_e * omega_e
+    damp = gamma_o * omega_e / math.pi
+    pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
+    e1s, eis = exp_e1_ei(lam)
+    pe = 1j * (math.pi * np.exp(-lam))
+    lam2 = lam * lam
+    f1 = (lam2 * (e1s - eis + pe))[:, None]
+    f2 = we2 * lam2[:, None] - omega_0 ** 2 + damp * (lam * (pe - (e1s + eis)))[:, None]
+    return pref * (f1 / f2).imag
+
+
+def k_extended_drude1_integrand(l0: np.ndarray, ld: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """The integrand of ``thermo.k_extended_drude1`` over lam = w/gamma_o as
+    the imaginary part of one complex quotient, with l0 = omega_0/gamma_o
+    and ld = omega_d/gamma_o as rows of shape (1, m); shape (n, m)."""
+    lam = lam[:, None]
+    lam2 = lam * lam
+    ld2 = ld * ld
+    lg = np.log(lam / ld)
+    c_log = 2.0 / math.pi
+    g1 = lam2 * (c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2) + 1j * (ld * (lam2 - ld2)))
+    g2 = (lam2 + ld2) * (
+        (lam2 - l0 * l0) * (lam2 + ld2) - c_log * ld * lam2 * lg + 1j * (ld * lam2))
+    return (g1 / g2).imag

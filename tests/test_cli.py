@@ -216,6 +216,23 @@ class TestDiscrete:
         assert rc == 1
         assert "line 3" in err
 
+    @pytest.mark.parametrize("text, where", [
+        # the third oscillator breaks the frequency order
+        ("# a bath\nM 1\nomega0 1\n# oscillators\n1 1 0.1\n1 2 0.1\n\n# out of order\n1 1.5 0.1\n",
+         "line 9: oscillator 3: bath frequencies must be strictly increasing"),
+        ("# a bath\nM 1\nomega0 1\n# one oscillator\n1 2 0\n",
+         "line 5: oscillator 1: coupling must be nonzero"),
+    ], ids=["frequency-order", "zero-coupling"])
+    def test_invalid_oscillator_names_its_line(self, text, where, tmp_path, capsys):
+        path = tmp_path / "bath.txt"
+        path.write_text(text)
+        rc = main(["discrete", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {where}")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         rc = main(["discrete", "/nonexistent/bath.txt"])
         assert rc == 1
@@ -272,6 +289,38 @@ class TestCheck:
         assert "all checks passed" in out
         assert out.count("[ok]") == 6
         assert "[FAIL]" not in out
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's values."""
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_format_does_not_carry_over(self, capsys):
+        assert main(["table1", "--format", "table"]) == 0
+        assert not capsys.readouterr().out.startswith("omega_e,")
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out.startswith("omega_e,g0.5,g1,g2,g5\n")
+
+    def test_rejected_value_leaves_no_trace(self, capsys):
+        _build_parser.cache_clear()
+        assert main(["table1"]) == 0
+        first = capsys.readouterr().out
+        assert main(["table1", "--tol", "-1"]) == 1
+        capsys.readouterr()
+        assert main(["table1"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_random_options_do_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "bath.txt"
+        path.write_text(GOOD_BATH)
+        assert main(["discrete", "--random", "3", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert main(["discrete", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("N: 1\n")
 
 
 class TestOptionSurface:

@@ -353,3 +353,14 @@ omega0 1.0
     def test_invalid_bath_rejected(self):
         with pytest.raises(BathParseError):
             parse_bath_file("M 1\nomega0 1\n1 2 0\n")
+
+    def test_invalid_oscillator_keeps_its_line(self):
+        text = "M 1\n# comment\nomega0 1\n1 2 1\n\n# comment\n1 3 1\n1 2.5 1\n"
+        with pytest.raises(BathParseError, match="^line 8: oscillator 3: ") as info:
+            parse_bath_file(text)
+        assert info.value.line_no == 8
+
+    def test_invalid_header_value_names_no_line(self):
+        with pytest.raises(BathParseError, match="^M and omega_0 must be") as info:
+            parse_bath_file("M -1\nomega0 1\n1 2 1\n")
+        assert info.value.line_no is None

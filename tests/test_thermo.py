@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
-from oracles import g_plus_derivative
-from oscbath.quadrature import DivergenceClass, DivergenceTag
+from oracles import g_plus_derivative, k_exponential_integrand, k_extended_drude1_integrand
+from oscbath.quadrature import DivergenceClass, DivergenceTag, NonConvergence
 from oscbath.spectral import (
     Drude,
     Exponential,
@@ -21,7 +21,7 @@ from oscbath.spectral import (
     Ohmic,
     g_plus,
 )
-from oscbath import specfun, thermo
+from oscbath import thermo
 
 
 class TestParameterMaps:
@@ -133,6 +133,24 @@ class TestDrudeConsistency:
         assert thermo.k_drude_lambda(w0, wd, go) == pytest.approx(kc, abs=1e-7)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _integrand_of(monkeypatch, k, *args):
+    """The integrand that ``k(*args)`` hands to integrate_semi_infinite."""
+    seen = []
+
+    def capture(f, **kwargs):
+        seen.append(f)
+        raise _Captured
+
+    monkeypatch.setattr(thermo, "integrate_semi_infinite", capture)
+    with pytest.raises(_Captured):
+        k(*args)
+    return seen[0]
+
+
 class TestExponential:
     def test_frozen_goldens(self):
         for i, we in enumerate(goldens.TABLE1_OMEGA_E):
@@ -172,21 +190,14 @@ class TestExponential:
         ratio = thermo.k_exponential(1.0, 1.0, 2e-4) / thermo.k_exponential(1.0, 1.0, 1e-4)
         assert ratio == pytest.approx(2.0, abs=1e-3)
 
-    def test_integrand_finite_at_large_argument(self):
+    def test_integrand_finite_at_large_argument(self, monkeypatch):
         # the scaled exponential integrals keep the integrand representable
         # at lam = 500 where the unscaled E1/Ei would overflow
-        lam, we, w0, g = 500.0, 1.0, 1.0, 1.0
-        e1s = specfun.exp_e1(lam)
-        eis = specfun.exp_neg_ei(lam)
-        edn = math.exp(-lam)
-        f1 = lam * lam * complex(e1s - eis, math.pi * edn)
-        f2 = complex(
-            we * we * lam * lam - w0 * w0 - g * we / math.pi * lam * (e1s + eis),
-            we * g * lam * edn,
-        )
-        val = (f1 / f2).imag
-        assert math.isfinite(val)
-        assert abs(val) < 1.0
+        f = _integrand_of(monkeypatch, thermo.k_exponential, 1.0, 1.0, 1.0)
+        val = f(np.array([500.0]))
+        assert val.shape == (1, 1)
+        assert np.isfinite(val).all()
+        assert abs(val[0, 0]) < 1.0
 
 
 class TestExtendedDrude1:
@@ -218,6 +229,40 @@ class TestExtendedDrude1:
                 k = thermo.k_extended_drude1(w0, wd, 1.0)
                 assert type(k) is float
                 assert abs(got[i, j] - k) < 1e-9
+
+
+class TestRealArithmeticIntegrands:
+    """The lambda integrands take Im(a/b) in real arithmetic; the complex
+    quotients of the test oracles are their reference."""
+
+    LAM = np.geomspace(1e-6, 1e15, 400)
+    CUTOFFS = np.array([0.1, 5.0, 1e4])
+    COUPLINGS = (1e-8, 1.0, 5.0)
+
+    @staticmethod
+    def _assert_close(got, ref):
+        assert got.shape == ref.shape
+        scale = np.maximum(np.abs(got), np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_exponential_matches_the_complex_quotient(self, monkeypatch):
+        we, g = self.CUTOFFS[:, None], np.array(self.COUPLINGS)
+        f = _integrand_of(monkeypatch, thermo.k_exponential, 1.0, we, g, 2.5)
+        rows = [np.broadcast_to(p, (3, 3)).reshape(1, -1) for p in (we, g)]
+        self._assert_close(f(self.LAM), k_exponential_integrand(1.0, *rows, self.LAM, hbar=2.5))
+
+    @pytest.mark.parametrize("gamma_o", COUPLINGS)
+    def test_extended_drude1_matches_the_complex_quotient(self, monkeypatch, gamma_o):
+        f = _integrand_of(monkeypatch, thermo.k_extended_drude1, 1.0, self.CUTOFFS, gamma_o)
+        l0 = np.full((1, 3), 1.0 / gamma_o)
+        ld = (self.CUTOFFS / gamma_o)[None, :]
+        self._assert_close(f(self.LAM), k_extended_drude1_integrand(l0, ld, self.LAM))
+
+    def test_weak_coupling_pins(self):
+        assert thermo.k_exponential(1.0, 1e4, 1e-8) == pytest.approx(1.590954764842e-09, rel=1e-12)
+        # the last panel of the mapped half line reaches machine width first
+        with pytest.raises(NonConvergence):
+            thermo.k_extended_drude1(1.0, 1e4, 1e-8)
 
 
 class TestExtendedDrude2:
