@@ -1,12 +1,15 @@
-"""Fit the Chebyshev pieces of the scaled exponential integrals.
+"""Fit the octave pieces of the scaled exponential integrals.
 
-Prints the ``_E1_CHEB`` and ``_EI_CHEB`` literals of ``oscbath.specfun``:
-for each octave [2^k, 2^(k+1)), k = 0..5, the Chebyshev coefficients of
-e^x E1(x) and e^-x Ei(x) in t = x / 2^(k-1) - 3, computed with mpmath at
-40 digits and cut where the sum of the dropped coefficients falls below
-half an ulp of the smallest value on the octave. Then prints
-``_EI_ZERO``, the zero x0 of Ei as a sum of two floats, and
-``_EI_TAYLOR``, the coefficients Ei^(k)(x0)/k! for k = 1..9.
+Prints the ``_E1_OCTAVES`` and ``_EI_OCTAVES`` literals of
+``oscbath.specfun``: for each octave [2^k, 2^(k+1)), k = 0..5, the
+coefficients a_0, a_1, ... of e^x E1(x) and e^-x Ei(x) as a polynomial in
+t = x / 2^(k-1) - 3. Each polynomial is a Chebyshev interpolant computed
+with mpmath at 40 digits, cut where the sum of the dropped Chebyshev
+coefficients falls below half an ulp of the smallest value on the octave,
+and converted to the power basis at 40 digits before its coefficients are
+rounded to floats. Then prints ``_EI_ZERO``, the zero x0 of Ei as a sum
+of two floats, and ``_EI_TAYLOR``, the coefficients Ei^(k)(x0)/k! for
+k = 1..9.
 
     python scripts/fit_expint.py
 """
@@ -29,16 +32,28 @@ def chebyshev_coefficients(f, lo):
     n = NODES
     while n > 1 and mp.fsum(abs(c) for c in coeffs[n - 1:]) < floor:
         n -= 1
-    return [float(c) for c in coeffs[:n]]
+    return coeffs[:n]
+
+
+def power_coefficients(cheb):
+    # sum_k c_k T_k(t) = sum_j a_j t^j, with T_(k+1) = 2 t T_k - T_(k-1)
+    zero = mp.mpf(0)
+    basis = [[mp.mpf(1)], [zero, mp.mpf(1)]]
+    while len(basis) < len(cheb):
+        prev, cur = basis[-2], basis[-1]
+        basis.append([2 * b - (prev[j] if j < len(prev) else zero)
+                      for j, b in enumerate([zero] + cur)])
+    return [mp.fsum(c * t[j] for c, t in zip(cheb, basis) if j < len(t))
+            for j in range(len(cheb))]
 
 
 def literal(name, f):
     lines = [f"{name} = ("]
     for k in OCTAVES:
-        coeffs = chebyshev_coefficients(f, mp.mpf(2) ** k)
+        coeffs = power_coefficients(chebyshev_coefficients(f, mp.mpf(2) ** k))
         lines.append(f"    (  # [{2 ** k}, {2 ** (k + 1)})")
         for i in range(0, len(coeffs), 3):
-            lines.append("        " + " ".join(f"{c!r}," for c in coeffs[i:i + 3]))
+            lines.append("        " + " ".join(f"{float(c)!r}," for c in coeffs[i:i + 3]))
         lines.append("    ),")
     lines.append(")")
     return "\n".join(lines)
@@ -56,6 +71,6 @@ def taylor_literal():
 
 
 if __name__ == "__main__":
-    print(literal("_E1_CHEB", lambda x: mp.exp(x) * mp.e1(x)))
-    print(literal("_EI_CHEB", lambda x: mp.exp(-x) * mp.ei(x)))
+    print(literal("_E1_OCTAVES", lambda x: mp.exp(x) * mp.e1(x)))
+    print(literal("_EI_OCTAVES", lambda x: mp.exp(-x) * mp.ei(x)))
     print(taylor_literal())

@@ -79,7 +79,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         lines.append(f"K/E_g: {_fmt(rep.K_normalized)}")
         lines.append(f"K*pi/(gamma_o*E_g): {_fmt(rep.K * math.pi / (model.gamma_o * e_g))}")
     lines.append(f"method: {rep.method}")
-    lines.append(f"error_estimate: {_fmt(rep.error_estimate)}")
+    # an error estimate is stable to about its 6th digit: 3 are printed
+    lines.append(f"error_estimate: {rep.error_estimate:.3g}")
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

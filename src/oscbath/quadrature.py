@@ -193,16 +193,14 @@ def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
     evals = 15 * len(lo)
     while True:
         seg_err = _segment_sums(seg, err, n_seg)
-        failing = np.flatnonzero(~(seg_err <= tol).all(axis=1))  # a NaN error fails
-        if not len(failing):
+        failing = ~(seg_err <= tol).all(axis=1)  # a NaN error fails
+        if not failing.any():
             break
         worst = err.max(axis=1)
         if n_seg == 1:
             pick = _to_bisect(err, worst, seg_err[0], tol)
         else:
-            pick = np.concatenate([
-                i[_to_bisect(err[i], worst[i], seg_err[s], tol)]
-                for s in failing for i in (np.flatnonzero(seg == s),)])
+            pick = _to_bisect_segments(err, worst, seg, seg_err, failing, tol)
         room = max(0, (max_evals - evals) // 30)
         if len(pick) > room:
             pick = pick[np.argsort(-worst[pick], kind="stable")[:room]]
@@ -246,6 +244,30 @@ def _to_bisect(err: np.ndarray, worst: np.ndarray, total: np.ndarray, tol: float
     ranked = err[order]
     left = total - np.cumsum(ranked, axis=0) + ranked  # error left before each
     return order[:np.count_nonzero(~(left <= 0.5 * tol).all(axis=1))]
+
+
+def _to_bisect_segments(err: np.ndarray, worst: np.ndarray, seg: np.ndarray,
+                        seg_err: np.ndarray, failing: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`_to_bisect` of every ``failing`` segment in one pass: the
+    panels it picks from each, the segments in ascending order.
+
+    The panels of the failing segments are sorted by segment, then worst
+    first, and laid out one segment per row, padded with zeros, so one
+    cumsum along the rows adds each segment's errors in the order, and with
+    the roundings, of its own.
+    """
+    idx = np.flatnonzero(failing[seg])
+    order = idx[np.lexsort((-worst[idx], seg[idx]))]
+    s = seg[order]
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    sizes = np.diff(np.append(first, len(s)))
+    row = np.repeat(np.arange(len(first)), sizes)
+    col = np.arange(len(s)) - first[row]
+    ranked = np.zeros((len(first), sizes.max(), err.shape[1]))
+    ranked[row, col] = err[order]
+    left = seg_err[s[first], None, :] - np.cumsum(ranked, axis=1) + ranked
+    missing = ~(left[row, col] <= 0.5 * tol).all(axis=1)
+    return order[col < np.bincount(row, weights=missing, minlength=len(first))[row]]
 
 
 def _result(value, err, evals, converged, ndim) -> IntegralResult:

@@ -3,9 +3,10 @@ branch-unifying arctan ratio of the Drude-family closed forms.
 
 Only finite positive arguments are supported. One evaluator,
 :func:`exp_e1_ei`, computes both scaled integrals at every node of a 1-D
-ndarray with one piece selection per node and one stacked recurrence; a
-float is evaluated as a one-node array. :func:`exp_e1` and
-:func:`exp_neg_ei` each return one of its two values.
+ndarray with one piece selection per node and one Horner recurrence over a
+table of power-basis coefficients; a float is evaluated as a one-node
+array. :func:`exp_e1` and :func:`exp_neg_ei` each return one of its two
+values.
 """
 
 from __future__ import annotations
@@ -24,137 +25,148 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015328606
 
-# Both functions are evaluated at a fixed cost: a power series of 18 terms
-# for x <= 1, a Chebyshev expansion on each octave [2^k, 2^(k+1)) below 64,
-# picked by frexp, and 19 terms of the asymptotic series from 64 on.
+# Both functions are evaluated at a fixed cost, each piece a polynomial of
+# at most 23 terms in one variable: a power series of 18 terms in x for
+# x <= 1, a polynomial in t on each octave [2^k, 2^(k+1)) below 64, picked
+# by frexp, and 19 terms of the asymptotic series in u = 1/x from 64 on.
 # The first omitted term is below 5e-19 at x = 1 (against E1(1) = 0.22)
-# and below 6e-18 relative at x = 64.
+# and below 6e-18 relative at x = 64. The octave polynomials are well
+# conditioned: the sum of |a_j| is at most 2.44 times the smallest value
+# on each octave, so Horner's rule keeps their accuracy.
 
 # 1/(k k!) for k = 1..18: sum_k x^k/(k k!) = x sum_j _SERIES[j] x^j
 _SERIES = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 19))
 # k! for k = 0..18: (1/x) sum_k (+-1)^k k!/x^k = u sum_j _ASYMPTOTIC[j] (+-u)^j
 _ASYMPTOTIC = tuple(float(math.factorial(k)) for k in range(19))
 
-# Chebyshev coefficients on the octaves, in t = x / 2^(k-1) - 3 = 4 m - 3
-# with (m, k + 1) = frexp(x); generated by scripts/fit_expint.py.
-_E1_CHEB = (
+
+def _alternate(coeffs: tuple) -> tuple:
+    # c_j (-y)^j = ((-1)^j c_j) y^j; negation is exact, so Horner's rule in
+    # y on these gives the same floats as Horner's rule in -y on coeffs
+    return tuple(-c if j % 2 else c for j, c in enumerate(coeffs))
+
+
+# Power-basis coefficients, lowest degree first, on the octaves in
+# t = x / 2^(k-1) - 3 = 4 m - 3 with (m, k + 1) = frexp(x); generated by
+# scripts/fit_expint.py, which converts 40-digit Chebyshev fits before rounding.
+_E1_OCTAVES = (
     (  # [1, 2)
-        0.46324352838580507, -0.11534497887909514, 0.01528397025751147,
-        -0.002118728756311583, 0.000303644266477795, -4.462280219559204e-05,
-        6.6860705980390665e-06, -1.0172755596608788e-06, 1.5670012692782216e-07,
-        -2.4383760524831098e-08, 3.826482479452566e-09, -6.047804755560207e-10,
-        9.617138194019332e-11, -1.537390419933619e-11, 2.468995367176891e-12,
-        -3.9811961621558646e-13, 6.442640845138054e-14, -1.0459312166256069e-14,
-        1.7028977913815833e-15, -2.779702909448489e-16, 4.548073989047679e-17,
+        0.448256669291583, -0.1092049986875417, 0.028254305883669804,
+        -0.007636628031745087, 0.0021318412491310897, -0.000609861142339872,
+        0.00017780192335547788, -5.262091791585943e-05, 1.576316796275809e-05,
+        -4.7692852182546916e-06, 1.4550374237403995e-06, -4.470866750255221e-07,
+        1.38197974564489e-07, -4.285201555623339e-08, 1.3366717987872233e-08,
+        -4.301828810552939e-09, 1.360067755635281e-09, -3.393373233678871e-10,
+        1.039771885334754e-10, -7.286824394944647e-11, 2.3845006155698297e-11,
     ),
     (  # [2, 4)
-        0.2727218741818481, -0.0758594431393776, 0.01087113362721191,
-        -0.0015949715567875958, 0.0002384274345511502, -3.6183924316441816e-05,
-        5.559557819770056e-06, -8.630076592481117e-07, 1.351219784356939e-07,
-        -2.1311383806035657e-08, 3.3823752731911783e-09, -5.397496561703579e-10,
-        8.654169795041139e-11, -1.3933954737249739e-11, 2.251818649655427e-12,
-        -3.6511435508844504e-13, 5.937633647842904e-14, -9.681899929331819e-15,
-        1.5825650930050371e-15, -2.5925185012054543e-16, 4.2555815935953854e-17,
+        0.2620837402553185, -0.07124959307801469, 0.019930759016547867,
+        -0.005702092673506706, 0.0016608965847230888, -0.0004908659503240571,
+        0.000146812693489552, -4.434781321587103e-05, 1.3508498725402507e-05,
+        -4.1440733152232395e-06, 1.27909418555238e-06, -3.969406804215451e-07,
+        1.237485768488255e-07, -3.865388245886315e-08, 1.2135619795414872e-08,
+        -3.930985881733153e-09, 1.2492686463287468e-09, -3.1169673802818885e-10,
+        9.587245374320935e-11, -6.796131699800026e-11, 2.2311503625429374e-11,
     ),
     (  # [4, 8)
-        0.1521211124559018, -0.0459218373920122, 0.007018311796195999,
-        -0.0010839579386853677, 0.00016891784555893467, -2.6525766480928563e-05,
-        4.1931180156783205e-06, -6.66669327781297e-07, 1.0653177474343602e-07,
-        -1.7099560522195914e-08, 2.755563607626969e-09, -4.45626791621172e-10,
-        7.229530996554045e-11, -1.1762285086166483e-11, 1.918664851080139e-12,
-        -3.137117150318042e-13, 5.140409364202696e-14, -8.439602069814206e-15,
-        1.38814433751553e-15, -2.2870443139743997e-16, 3.773874324198387e-17,
-        -6.2362649839919174e-18,
+        0.1452676292338869, -0.042798074865559546, 0.012757480689995769,
+        -0.0038406918856813384, 0.0011660738102551975, -0.00035661574340011297,
+        0.00010975177080111025, -3.3963404029701575e-05, 1.056112393144083e-05,
+        -3.2981137814615065e-06, 1.0338807175404045e-06, -3.2520244551039506e-07,
+        1.0262109516140818e-07, -3.246968086188421e-08, 1.0267917056235252e-08,
+        -3.261474884036415e-09, 1.075874428285245e-09, -3.4556293645843294e-10,
+        8.301700352256935e-11, -2.5622706057015375e-11, 1.978597021685324e-11,
+        -6.539197791854309e-12,
     ),
     (  # [8, 16)
-        0.08137707193928488, -0.025949525281985242, 0.00415603126575249,
-        -0.0006683050248783166, 0.00010785491972338033, -1.7463087104988416e-05,
-        2.8358575119017813e-06, -4.617570170851645e-07, 7.537130399787535e-08,
-        -1.233025047337126e-08, 2.0213032102598795e-09, -3.3198162124844246e-10,
-        5.4620624379152825e-11, -9.001254462613968e-12, 1.485602768831329e-12,
-        -2.455332013049584e-13, 4.0633537160929777e-14, -6.732692975186007e-15,
-        1.116835204334374e-15, -1.8546195734722035e-16, 3.0828903720514826e-17,
-        -5.1294789258059014e-18,
+        0.07732613313891923, -0.024028800777656414, 0.007497954000242534,
+        -0.002348407012021756, 0.0007380127410723408, -0.000232635074645391,
+        7.353363553183234e-05, -2.3301832515499995e-05, 7.401058460222115e-06,
+        -2.355670952806901e-06, 7.512361235491288e-07, -2.400037964579293e-07,
+        7.681723845560017e-08, -2.462185624982608e-08, 7.877228985263564e-09,
+        -2.5294335886328885e-09, 8.444777960373802e-10, -2.7383479026097425e-10,
+        6.556970253340868e-11, -2.0379834752774023e-11, 1.6163224273821277e-11,
+        -5.378648494105849e-12,
     ),
     (  # [16, 32)
-        0.042301131773816544, -0.013947924557296178, 0.0023028070600521855,
-        -0.00038070232589256355, 6.301686279831608e-05, -1.0443300080835153e-05,
-        1.7325979123852314e-06, -2.8774563760870405e-07, 4.783489434947289e-08,
-        -7.95943500600254e-09, 1.3255591540855334e-09, -2.2094043950526507e-10,
-        3.6854611351432226e-11, -6.1522170291890515e-12, 1.0277288876405006e-12,
-        -1.7179781436664724e-13, 2.873657078663417e-14, -4.809694704578627e-15,
-        8.054771582551048e-16, -1.3496798830252232e-16, 2.2627654985859616e-17,
-        -3.7955054185390536e-18,
+        0.040059655523840325, -0.012856089142610756, 0.004131198985112392,
+        -0.0013291483853786943, 0.00042812298233454185, -0.00013804849576932622,
+        4.455902430344997e-05, -1.4396453602292391e-05, 4.655520845344441e-06,
+        -1.5067895887416615e-06, 4.88074095243203e-07, -1.582173556516787e-07,
+        5.133659683422355e-08, -1.6666659050469486e-08, 5.395095940547423e-09,
+        -1.7520200491392174e-09, 5.925989019037998e-10, -1.941604565604489e-10,
+        4.625846220068126e-11, -1.448669990438888e-11, 1.1863407977226367e-11,
+        -3.979875889750007e-12,
     ),
     (  # [32, 64)
-        0.0216030089833304, -0.007259443609637639, 0.0012202296044130287,
-        -0.0002051881300260429, 3.4516682336148805e-05, -5.808526889095084e-06,
-        9.778166483458383e-07, -1.646637194523139e-07, 2.7738460941117553e-08,
-        -4.674184742607814e-09, 7.878867971048079e-10, -1.3284701313326956e-10,
-        2.2406064476263438e-11, -3.780081582478361e-12, 6.379031434627045e-13,
-        -1.0767692275601612e-13, 1.8180313265837888e-14, -3.070347883389242e-15,
-        5.186544566209122e-16, -8.763344657425648e-17, 1.4810168381658226e-17,
-        -2.5034886217613764e-18,
+        0.020416345216965157, -0.006671809861890849, 0.002181076660428677,
+        -0.0007132701567253995, 0.00023333912618820013, -7.636006370368071e-05,
+        2.499684881933185e-05, -8.185398348894749e-06, 2.68117748374997e-06,
+        -8.784926628829279e-07, 2.8791874741154346e-07, -9.438919431525641e-08,
+        3.095896237503687e-08, -1.0155553398118553e-08, 3.3193029480267354e-09,
+        -1.088192044233018e-09, 3.7231859045313304e-10, -1.231075244763558e-10,
+        2.915710913580206e-11, -9.190817272238592e-12, 7.764793560482828e-12,
+        -2.625098085052057e-12,
     ),
 )
-_EI_CHEB = (
+_EI_OCTAVES = (
     (  # [1, 2)
-        0.7109938316754927, -0.018946485604125984, -0.026381281095997838,
-        0.005501277810766627, -0.0007710184335709796, 9.739709139166408e-05,
-        -1.249084552929474e-05, 1.6880196774590742e-06, -2.3938070205651247e-07,
-        3.5133072477032377e-08, -5.279116225635992e-09, 8.067026789704252e-10,
-        -1.2485037291456487e-10, 1.9517683557274607e-11, -3.0762328747835385e-12,
-        4.88167714422955e-13, -7.791594106693693e-14, 1.249793107667596e-14,
-        -2.013365818383383e-15, 3.255750078576017e-16, -5.2824384505272435e-17,
+        0.7366163509600129, -0.034974842146673284, -0.04681184501888695,
+        0.020147653182173014, -0.0056048764008695285, 0.001383532907301005,
+        -0.000343918094175837, 8.988663383939128e-05, -2.466988983726846e-05,
+        7.015564107871892e-06, -2.0442803014331825e-06, 6.06153441972855e-07,
+        -1.820820444702084e-07, 5.5156384804165296e-08, -1.6868333122273987e-08,
+        5.327917667349613e-09, -1.6598794797689195e-09, 4.1366362045687573e-10,
+        -1.2541993002964542e-10, 8.534753485982314e-11, -2.7695190903500274e-11,
     ),
     (  # [2, 4)
-        0.5054104323033257, -0.15714533571769573, 0.01023869215602043,
-        0.001558438997823653, -0.0006132093904239875, 0.00011897098331210834,
-        -1.8206677198702508e-05, 2.526467422112609e-06, -3.4267635993391367e-07,
-        4.72935935831681e-08, -6.736187108032411e-09, 9.889910362087467e-10,
-        -1.4871032242862676e-10, 2.2759750164686382e-11, -3.5295206160299477e-12,
-        5.529354883610997e-13, -8.732893102730374e-14, 1.38849179562224e-14,
-        -2.2200894984479906e-15, 3.5668743948734306e-16, -5.754637957876437e-17,
+        0.4945764013486412, -0.1612430680153081, 0.02506597845209875,
+        0.003990352861660082, -0.004084007968512093, 0.0016398468608918126,
+        -0.0005019314953933246, 0.0001370255552701122, -3.618016956215415e-05,
+        9.665032182987054e-06, -2.660005571626114e-06, 7.55054650231343e-07,
+        -2.1974628716223725e-07, 6.504786300437e-08, -1.9545560663822785e-08,
+        6.080239598098762e-09, -1.872697903796383e-09, 4.658204905283834e-10,
+        -1.4013718945761898e-10, 9.350347213697006e-11, -3.017087625659121e-11,
     ),
     (  # [4, 8)
-        0.2330178383333846, -0.10263747333258877, 0.020252452826560654,
-        -0.0032580646337486328, 0.00037699115862158746, -1.699644482210489e-05,
-        -5.344625436836132e-06, 1.9536078040955082e-06, -4.2264234357153665e-07,
-        7.429302072980444e-08, -1.1677412838868873e-08, 1.7284621479601582e-09,
-        -2.4949221680145294e-10, 3.596377246421396e-11, -5.249526001296091e-12,
-        7.802897323253035e-13, -1.1811649933171196e-13, 1.816335425233332e-14,
-        -2.8286615333984655e-15, 4.449423648572442e-16, -7.054639193572984e-17,
-        1.1257557395772775e-17,
+        0.2131473100815936, -0.09296128682985387, 0.03740573127429874,
+        -0.012591475170520436, 0.003209317832156654, -0.00046068186536496507,
+        -7.506306335941527e-05, 8.6767642405806e-05, -4.07438865009385e-05,
+        1.4699226968461427e-05, -4.633344384628043e-06, 1.3556078029080688e-06,
+        -3.827691777192426e-07, 1.0714348003932393e-07, -3.018829173103746e-08,
+        8.657743951514216e-09, -2.5950118988878204e-09, 7.757579988400035e-10,
+        -1.8582519082960404e-10, 5.466584764803081e-11, -3.698662673519993e-11,
+        1.1804404503829834e-11,
     ),
     (  # [8, 16)
-        0.09932664988760521, -0.03872285696593708, 0.007718996038431989,
-        -0.0015666094046456775, 0.00031844804811688866, -6.316153119181135e-05,
-        1.18674401634107e-05, -2.0503080779706596e-06, 3.147261228114083e-07,
-        -4.049160412173196e-08, 3.6777763458283596e-09, 2.0625108320551393e-12,
-        -1.0346134734249758e-10, 3.1998539837815133e-11, -7.114014014011516e-12,
-        1.3553823828628325e-12, -2.3511438399785936e-13, 3.833611649716825e-14,
-        -6.0019860176057246e-15, 9.169901955648797e-16, -1.3847405515182e-16,
-        2.0871159673242317e-17, -3.16107692969943e-18,
+        0.09191454540889658, -0.03432484830225301, 0.013094141048950472,
+        -0.00511317571958926, 0.002026755966502882, -0.0007983595056872831,
+        0.0003036159850423512, -0.00010817379592300172, 3.503492420681786e-05,
+        -9.92604614551924e-06, 2.276909458186643e-06, -3.1479074242960385e-07,
+        -5.1875179085656796e-08, 6.423086975969014e-08, -3.3288152400020755e-08,
+        1.3487006812207633e-08, -4.819271573230156e-09, 1.6290907396294791e-09,
+        -5.102855773063092e-10, 1.254872429171287e-10, -3.6139361998435805e-11,
+        2.1884997125529736e-11, -6.629258805273019e-12,
     ),
     (  # [16, 32)
-        0.04651258859864231, -0.01679176232317258, 0.0030407989895865177,
-        -0.0005527370669496138, 0.00010092924770101523, -1.853193063855411e-05,
-        3.425944415847789e-06, -6.3856270297813e-07, 1.2014180178507086e-07,
-        -2.2823108106340884e-08, 4.371744586910805e-09, -8.413541873527644e-10,
-        1.6172982031712248e-10, -3.081266987102427e-11, 5.7670554276374424e-12,
-        -1.05050555272907e-12, 1.8442548417463594e-13, -3.0869213221920894e-14,
-        4.859031858633917e-15, -7.041959296441924e-16, 9.01537451177767e-17,
-        -9.116446242027573e-18,
+        0.043569408838540574, -0.015221937374991272, 0.005332193944409436,
+        -0.0018735048394133474, 0.0006605899257441293, -0.00023389861368767158,
+        8.324113277491877e-05, -2.9811670348679882e-05, 1.0759697069777061e-05,
+        -3.91914492237748e-06, 1.4418047175734048e-06, -5.35404622547994e-07,
+        2.0013744754624357e-07, -7.490369541011449e-08, 2.78535699305646e-08,
+        -1.0225055374375678e-08, 3.6794875048508614e-09, -1.2591103278071448e-09,
+        4.005503901733202e-10, -1.3441448242357558e-10, 4.726652672030891e-11,
+        -9.559286734680304e-12,
     ),
     (  # [32, 64)
-        0.022642854176270995, -0.007954747069451653, 0.0013981461554080593,
-        -0.0002458976498847845, 4.327606586461919e-05, -7.621672647452713e-06,
-        1.343325466473846e-06, -2.3695289169517915e-07, 4.1832744315068965e-08,
-        -7.39215172928652e-09, 1.3075416401750975e-09, -2.315284532120946e-10,
-        4.1044641321677265e-11, -7.28546296439233e-12, 1.2949701002116576e-12,
-        -2.3053012823985027e-13, 4.110904939754154e-14, -7.344828040464535e-15,
-        1.3151417501352857e-15, -2.360721384481039e-16, 4.249669746792585e-17,
-        -7.675015871648591e-18, 1.391231218117358e-18,
+        0.021286681326253262, -0.00725356788671888, 0.0024729875381954477,
+        -0.000843587858029482, 0.00028793167903286645, -9.83361054300804e-05,
+        3.360592904384213e-05, -1.149249894842083e-05, 3.933024306437076e-06,
+        -1.347015126125288e-06, 4.6171443514677166e-07, -1.5839528968609804e-07,
+        5.439052322330493e-08, -1.8706932335429684e-08, 6.438709599442328e-09,
+        -2.19946027395081e-09, 7.569399820427628e-10, -2.8246248060958435e-10,
+        9.908717163161801e-11, -1.9633748087533338e-11, 6.233580198609011e-12,
+        -8.047837442629793e-12, 2.9176233315372538e-12,
     ),
 )
 
@@ -169,26 +181,29 @@ _EI_TAYLOR = (
 )
 
 
-# The pieces of both functions as one table: piece 0 is the power series,
-# 1..6 the octaves [1, 2) ... [32, 64), 7 the asymptotic series.
-# _STACKED[k, f, piece] is coefficient k, highest first and padded with
-# leading zeros, of function f (0: e^x E1, 1: e^-x Ei).
-_PIECES = ((_SERIES, _SERIES), *zip(_E1_CHEB, _EI_CHEB), (_ASYMPTOTIC, _ASYMPTOTIC))
+# The pieces of both functions as one table: piece 0 is the power series
+# in x, 1..6 the octaves [1, 2) ... [32, 64) in t, 7 the asymptotic series
+# in u. _TABLE[k, f * 8 + piece] is coefficient k, highest first and padded
+# with leading zeros, of function f (0: e^x E1, 1: e^-x Ei).
+_PIECES = (
+    (_alternate(_SERIES), _SERIES),
+    *zip(_E1_OCTAVES, _EI_OCTAVES),
+    (_alternate(_ASYMPTOTIC), _ASYMPTOTIC),
+)
 _WIDTH = max(len(c) for pair in _PIECES for c in pair)
-_STACKED = np.ascontiguousarray(np.array([
-    [(0.0,) * (_WIDTH - len(c)) + c[::-1] for c in pair] for pair in _PIECES
-]).transpose(2, 1, 0))
+_TABLE = np.array([
+    (0.0,) * (_WIDTH - len(c)) + c[::-1] for f in (0, 1) for c in (p[f] for p in _PIECES)
+]).T.copy()
 
 
 def exp_e1_ei(x: float | np.ndarray) -> tuple:
     """(e^x E1(x), e^-x Ei(x)) for finite x > 0, as floats or as 1-D ndarrays.
 
     Each node selects its piece once, and one recurrence runs over both
-    functions and every node: Horner's rule on the series pieces and
-    Clenshaw's on the Chebyshev pieces, written as b <- A b + B b' + c with
-    per-node A and B. A float or 0-d array argument is evaluated as a
-    one-node array and gives floats. Raises ValueError unless every x is
-    finite and positive.
+    functions and every node: Horner's rule in the piece's variable, x, t or
+    u, two in-place operations per coefficient. A float or 0-d array
+    argument is evaluated as a one-node array and gives floats. Raises
+    ValueError unless every x is finite and positive.
 
     Within 1e-3 of the zero of Ei, x0 = 0.3725074107813666, e^-x Ei(x)
     comes from the Taylor series of Ei about x0, so its relative accuracy
@@ -201,24 +216,18 @@ def exp_e1_ei(x: float | np.ndarray) -> tuple:
         raise ValueError("exp_e1_ei requires finite x > 0")
     m, e = np.frexp(x)
     series = x <= 1.0
-    cheb = ~series & (e <= len(_E1_CHEB))
-    t = 4.0 * m - 3.0
-    u = 1.0 / np.maximum(x, 1.0)
-    # Horner in -x or -u for e^x E1 and in x or u for e^-x Ei; Clenshaw in 2t
-    a = np.where(series, x, np.where(cheb, t + t, u))
-    A = np.stack((np.where(cheb, a, -a), a))
-    B = np.where(cheb, -1.0, 0.0)
-    coeffs = _STACKED[:, :, np.where(series, 0, np.minimum(e, len(_PIECES) - 1))]
-    b1, b2, ab = coeffs[0].copy(), np.zeros_like(A), np.empty_like(A)
+    octave = ~series & (e <= len(_E1_OCTAVES))
+    # the variable of each node's piece: x, t = 4 m - 3 or u = 1/x
+    y = np.where(series, x, np.where(octave, 4.0 * m - 3.0, 1.0 / np.maximum(x, 1.0)))
+    piece = np.where(series, 0, np.minimum(e, len(_PIECES) - 1))
+    # both functions side by side in one flat row: contiguous in-place steps
+    coeffs = _TABLE[:, np.concatenate((piece, piece + len(_PIECES)))]
+    y2 = np.concatenate((y, y))
+    b = coeffs[0].copy()
     for c in coeffs[1:]:
-        np.multiply(A, b1, out=ab)
-        b2 *= B
-        b2 += ab
-        b2 += c
-        b1, b2 = b2, b1
-    b2 *= np.where(cheb, t, 0.0)
-    b1 -= b2
-    e1s, eis = np.where(cheb, 1.0, np.where(series, x, u)) * b1
+        b *= y2
+        b += c
+    e1s, eis = np.where(octave, 1.0, y) * b.reshape(2, -1)
     i = np.flatnonzero(series)
     if i.size:
         # E1 = -gamma - ln x + ..., Ei = gamma + ln x + ...

@@ -108,37 +108,88 @@ def drude_params_from_physical(
     The three parameters are the negated imaginary parts of the
     susceptibility poles, i.e. the roots of a real cubic; Omega is the root
     that continues from omega_d at vanishing coupling.
+
+    For the Drude model that is the largest real root (:func:`_drude_omega`),
+    and Vieta's formulas w0^2 = omega_0^2 omega_d / Omega and
+    gamma = gamma_o omega_d^2 / (Omega omega_d + w0^2) do not cancel, so
+    all three keep full relative accuracy at weak coupling. The ``xdrude2``
+    variant takes its roots from ``np.roots``: with three real roots its
+    Omega is the one nearest omega_d, which need not be the largest.
     """
     if omega_0 <= 0 or omega_d <= 0 or gamma_o <= 0:
         raise ValueError("omega_0, omega_d, gamma_o must be positive")
     if variant == "drude":
-        coeffs = [1.0, -omega_d, omega_0 ** 2 + gamma_o * omega_d, -omega_0 ** 2 * omega_d]
+        Omega = _drude_omega(omega_0, omega_d, gamma_o)
+        w0sq = omega_0 ** 2 * omega_d / Omega
+        gamma = gamma_o * omega_d ** 2 / (Omega * omega_d + w0sq)
     elif variant == "xdrude2":
-        coeffs = [1.0, -(omega_d + gamma_o), omega_0 ** 2, -omega_0 ** 2 * omega_d]
+        roots = np.roots([1.0, -(omega_d + gamma_o), omega_0 ** 2, -omega_0 ** 2 * omega_d])
+        real_mask = np.abs(roots.imag) < 1e-9 * np.abs(roots.real)
+        real_roots = np.sort(roots[real_mask].real)
+        if real_roots.size == 0:
+            raise ArithmeticError("no real root of the pole cubic; cannot happen for positive parameters")
+        if real_roots.size == 1 or roots[~real_mask].size == 2:
+            # one real root: the complex pair is (z1, z2)
+            Omega = float(real_roots[-1])
+            z = roots[~real_mask][0]
+            gamma = float(2.0 * z.real)
+            w0sq = float(abs(z) ** 2)
+        else:
+            # fully overdamped: all roots real; Omega continues from omega_d
+            idx = int(np.argmin(np.abs(real_roots - omega_d)))
+            Omega = float(real_roots[idx])
+            others = np.delete(real_roots, idx)
+            gamma = float(others.sum())
+            w0sq = float(others.prod())
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    roots = np.roots(coeffs)
-    real_mask = np.abs(roots.imag) < 1e-9 * np.abs(roots.real)
-    real_roots = np.sort(roots[real_mask].real)
-    if real_roots.size == 0:
-        raise ArithmeticError("no real root of the pole cubic; cannot happen for positive parameters")
-    if real_roots.size == 1 or roots[~real_mask].size == 2:
-        # one real root: the complex pair is (z1, z2)
-        Omega = float(real_roots[-1])
-        z = roots[~real_mask][0]
-        gamma = float(2.0 * z.real)
-        w0sq = float(abs(z) ** 2)
-    else:
-        # fully overdamped: all roots real; Omega continues from omega_d
-        idx = int(np.argmin(np.abs(real_roots - omega_d)))
-        Omega = float(real_roots[idx])
-        others = np.delete(real_roots, idx)
-        gamma = float(others.sum())
-        w0sq = float(others.prod())
     w0 = math.sqrt(w0sq)
     disc = w0sq - 0.25 * gamma * gamma
     regime = "underdamped" if disc > 0.0 else "overdamped"
     return DrudeParams(w0, Omega, gamma, regime, math.sqrt(abs(disc)))
+
+
+def _drude_omega(omega_0: float, omega_d: float, gamma_o: float) -> float:
+    """The largest real root of the Drude pole cubic
+    p(x) = gamma_o omega_d x - (omega_d - x)(x^2 + omega_0^2).
+
+    p(0) < 0 < p(omega_d) and all roots are positive with sum omega_d, so
+    the root lies in (0, omega_d). Newton's iteration runs from omega_d
+    inside a bracket on which it is the only root: above the local minimum
+    of p when that is negative (three real roots), else (0, omega_d). A
+    step that leaves the bracket is replaced by bisection.
+    """
+    w0sq = omega_0 * omega_0
+    slope0 = w0sq + gamma_o * omega_d  # p'(0)
+
+    def p(x: float) -> float:
+        return gamma_o * omega_d * x - (omega_d - x) * (x * x + w0sq)
+
+    lo, hi = 0.0, omega_d
+    disc = omega_d * omega_d - 3.0 * slope0
+    if disc > 0.0:
+        x_min = (omega_d + math.sqrt(disc)) / 3.0
+        if p(x_min) < 0.0:
+            lo = x_min
+    x = omega_d
+    for _ in range(200):
+        px = p(x)
+        if px == 0.0:
+            return x
+        if px > 0.0:
+            hi = x
+        else:
+            lo = x
+        new = x - px / (slope0 + x * (3.0 * x - 2.0 * omega_d))
+        if lo < new < hi:
+            if abs(new - x) <= 1e-15 * new:
+                return new
+        else:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                return new
+        x = new
+    raise ArithmeticError("no convergence on the Drude pole cubic")
 
 
 def drude_params_to_physical(
@@ -180,7 +231,8 @@ def _drude_es_f(
     i2 = ((w0 ** 4 + w0 ** 2 * Om ** 2 - 0.5 * Om ** 2 * g ** 2) * t
           + Om ** 2 * g * lg) / den
     w1sq = w0 * w0 - 0.25 * g * g
-    f = (Om + g) * math.log((Om + g) / Om) + g * lg + 2.0 * w1sq * t
+    # log1p: at weak coupling g/Om is far below an ulp's worth of (Om + g)/Om
+    f = (Om + g) * math.log1p(g / Om) + g * lg + 2.0 * w1sq * t
     scale = hbar / (2.0 * math.pi)
     return scale * (omega_0 ** 2 * i0 + i2), scale * f
 
@@ -360,23 +412,30 @@ def _integrand(kernel: Callable, omega_0: float, columns: tuple[int, ...]):
     that order, from one kernel call. With G = w^2 - w0^2 + i w gamma_plus
     and G' = 2w + i gamma_plus + i w gamma_plus': E_s from
     (w0^2 + w^2) Im G / |G|^2, F from w Im(-G'/G), K from
-    Im(-i w^2 gamma_plus' / G). For the delta(0)-carrying members the
-    kernel is the finite part, on which only the tail classes are meaningful.
+    Im(-i w^2 gamma_plus' / G), each in real arithmetic from the real and
+    imaginary parts of gamma_plus and gamma_plus' with one shared 1/|G|^2.
+    For the delta(0)-carrying members the kernel is the finite part, on
+    which only the tail classes are meaningful.
     """
     w0sq = omega_0 * omega_0
 
     def integrand(w: np.ndarray) -> np.ndarray:
         gp, dgp = kernel(w)
         w2 = w * w
-        G = (w2 - w0sq) + 1j * w * gp
-        rows = []
-        if _ES in columns:
-            rows.append((w0sq + w2) * G.imag / np.abs(G) ** 2)
-        if _F in columns:
-            rows.append(w * (-((2.0 * w + 1j * gp + 1j * w * dgp) / G)).imag)
-        if _K in columns:
-            rows.append((w2 * (-1j * dgp) / G).imag)
-        return np.stack(rows, axis=1)
+        g_re = w2 - w0sq - w * gp.imag
+        g_im = w * gp.real
+        inv = 1.0 / (g_re * g_re + g_im * g_im)
+        out = np.empty((len(w), len(columns)))
+        for j, c in enumerate(columns):
+            if c == _ES:
+                out[:, j] = (w0sq + w2) * g_im * inv
+            elif c == _F:
+                d_re = 2.0 * w - gp.imag - w * dgp.imag
+                d_im = gp.real + w * dgp.real
+                out[:, j] = w * (d_re * g_im - d_im * g_re) * inv
+            else:
+                out[:, j] = -w2 * (dgp.real * g_re + dgp.imag * g_im) * inv
+        return out
 
     return integrand
 

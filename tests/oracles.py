@@ -6,9 +6,12 @@ long way, as the principal-value transform of J(w) on the package's own
 quadrature engine, so the closed forms can be checked against something that
 shares none of their algebra. The spectral density J(w) itself, their input,
 and dG_+/dw, the analytic side of finite-difference checks, live here too,
-as do the integrands of the two lambda forms of K written as complex
-quotients, the references for their real-arithmetic forms. None of them
-is in ``oscbath``, because no program path runs them.
+as do the integrands of the two lambda forms of K and of the fused
+E_s/F/K route written as complex quotients, the references for their
+real-arithmetic forms, the per-segment loop that the quadrature's
+one-pass panel pick replaced, and the Drude closed form of K evaluated at
+50 digits, the reference for its rounding at weak coupling. None of them is in ``oscbath``, because no
+program path runs them.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+import mpmath as mp
 import numpy as np
 
 from oscbath.quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_TOL,
     IntegralResult,
+    _to_bisect,
     integrate_interval,
     integrate_semi_infinite,
 )
@@ -168,3 +173,50 @@ def k_extended_drude1_integrand(l0: np.ndarray, ld: np.ndarray, lam: np.ndarray)
     g2 = (lam2 + ld2) * (
         (lam2 - l0 * l0) * (lam2 + ld2) - c_log * ld * lam2 * lg + 1j * (ld * lam2))
     return (g1 / g2).imag
+
+
+def fused_integrand(kernel: Callable, omega_0: float, w: np.ndarray) -> np.ndarray:
+    """The E_s(0), F(0) and K integrands of ``thermo._integrand`` as complex
+    quotients, with G = w^2 - w0^2 + i w gamma_plus and G' its derivative:
+    (w0^2 + w^2) Im G / |G|^2, w Im(-G'/G) and Im(-i w^2 gamma_plus' / G)
+    as the columns of an (n, 3) array."""
+    gp, dgp = kernel(w)
+    w2 = w * w
+    w0sq = omega_0 * omega_0
+    G = (w2 - w0sq) + 1j * w * gp
+    es = (w0sq + w2) * G.imag / np.abs(G) ** 2
+    f = w * (-((2.0 * w + 1j * gp + 1j * w * dgp) / G)).imag
+    k = (w2 * (-1j * dgp) / G).imag
+    return np.stack((es, f, k), axis=1)
+
+
+def to_bisect_per_segment(
+    err: np.ndarray, worst: np.ndarray, seg: np.ndarray, seg_err: np.ndarray,
+    failing: np.ndarray, tol: float,
+) -> np.ndarray:
+    """The panels ``quadrature._to_bisect`` picks in each failing segment,
+    one segment at a time in ascending order, concatenated."""
+    return np.concatenate([
+        i[_to_bisect(err[i], worst[i], seg_err[s], tol)]
+        for s in np.flatnonzero(failing) for i in (np.flatnonzero(seg == s),)])
+
+
+def k_drude_closed_mp(omega_0: float, omega_d: float, gamma_o: float, dps: int = 50):
+    """The Drude closed form of ``thermo._drude_es_f``, F(0) - E_s(0) at hbar = 1,
+    evaluated in ``dps``-digit arithmetic from the roots of the pole cubic."""
+    with mp.workdps(dps):
+        w0_, wd, go = mp.mpf(omega_0), mp.mpf(omega_d), mp.mpf(gamma_o)
+        roots = mp.polyroots([1, -wd, w0_ ** 2 + go * wd, -w0_ ** 2 * wd],
+                             maxsteps=400, extraprec=4 * dps)
+        om = max(roots, key=mp.re)
+        z1, z2 = (r for r in roots if r is not om)
+        om, g, w0sq = mp.re(om), mp.re(z1 + z2), mp.re(z1 * z2)
+        w0 = mp.sqrt(w0sq)
+        d = w0sq - g * g / 4
+        t = mp.acos(g / (2 * w0)) / mp.sqrt(d) if d > 0 else mp.acosh(g / (2 * w0)) / mp.sqrt(-d)
+        lg = mp.log(om / w0)
+        den = w0sq - om * g + om ** 2
+        i0 = ((w0sq + om ** 2 - g * g / 2) * t - g * lg) / den
+        i2 = ((w0sq ** 2 + w0sq * om ** 2 - om ** 2 * g * g / 2) * t + om ** 2 * g * lg) / den
+        f = (om + g) * mp.log((om + g) / om) + g * lg + 2 * d * t
+        return (f - (w0_ ** 2 * i0 + i2)) / (2 * mp.pi)

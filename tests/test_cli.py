@@ -1,12 +1,14 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import re
 import time
 
 import pytest
 
 import goldens
-from oscbath.cli import _build_parser, main
+from oscbath import thermo
+from oscbath.cli import _build_parser, main, parse_model
 
 GOOD_BATH = """\
 M 1.0
@@ -54,6 +56,21 @@ class TestReport:
         assert float(lines["K/E_g"]) == pytest.approx(
             float(lines["K"]) / 0.5, rel=1e-8
         )
+
+    @pytest.mark.parametrize("model, omega0", [
+        ("exp g=1 we=5", "0.4"), ("xdrude g=1 wd=5 n=1", "1"), ("drude g=1 wd=5", "1"),
+        ("xohmic g=1 p=2", "1"),
+    ])
+    def test_error_estimate_three_digits(self, model, omega0, capsys):
+        # only the leading digits of an error estimate are stable
+        rc = main(["report", "--model", model, "--omega0", omega0])
+        out = capsys.readouterr().out
+        assert rc == 0
+        line = dict(l.split(": ", 1) for l in out.strip().splitlines())["error_estimate"]
+        assert re.fullmatch(r"0|[1-9](\.\d{1,2})?e-\d\d", line), line
+        want = thermo.thermo_report(parse_model(model), 1.0, float(omega0)).error_estimate
+        assert float(line) == pytest.approx(want, rel=5e-3)
+        assert (line == "0") == (want == 0.0)
 
     def test_divergent_report(self, capsys):
         rc = main(["report", "--model", "xohmic g=1 p=2", "--omega0", "1"])

@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SingularityMisdeclared, principal_value_integral
+from oracles import SingularityMisdeclared, principal_value_integral, to_bisect_per_segment
 from oscbath.quadrature import (
     MAX_BATCH,
+    TAIL_PANELS,
     DivergenceTag,
     Inconclusive,
     NonConvergence,
     classify_tail,
     integrate_interval,
     integrate_semi_infinite,
+    _segment_sums,
+    _to_bisect_segments,
 )
 
 mp.mp.dps = 30
@@ -234,3 +237,50 @@ class TestClassifyTail:
         window = (10.0, 1e4)
         one_by_one = [classify_tail(f, window=window) for f in fs]
         assert classify_tail(rows, window=window) == tuple(one_by_one)
+
+
+class TestSegmentPick:
+    """The one-pass pick of a multi-segment round against the loop over its
+    failing segments: the same panels in the same order."""
+
+    @staticmethod
+    def _round(rng, m, ties=False, nan=False):
+        seg = np.repeat(np.arange(TAIL_PANELS), rng.integers(1, 9, TAIL_PANELS))
+        err = rng.exponential(size=(len(seg), m)) * 10.0 ** rng.uniform(-4, 0, (len(seg), 1))
+        if ties:
+            err = np.round(err, 2)  # equal worst errors, zeros among them
+        if nan:
+            err[rng.integers(len(seg)), rng.integers(m)] = np.nan
+        return seg, err, _segment_sums(seg, err, TAIL_PANELS)
+
+    @staticmethod
+    def _assert_same(seg, err, seg_err, tol):
+        failing = ~(seg_err <= tol).all(axis=1)
+        worst = err.max(axis=1)
+        got = _to_bisect_segments(err, worst, seg, seg_err, failing, tol)
+        assert np.array_equal(got, to_bisect_per_segment(err, worst, seg, seg_err, failing, tol))
+        return failing
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_random_rounds(self, m, ties):
+        rng = np.random.default_rng(7 + m + 10 * ties)
+        for _ in range(100):
+            seg, err, seg_err = self._round(rng, m, ties=ties)
+            self._assert_same(seg, err, seg_err, float(np.median(seg_err)))
+
+    def test_nan_error_fails_its_segment(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            seg, err, seg_err = self._round(rng, 2, ties=True, nan=True)
+            failing = self._assert_same(seg, err, seg_err, float(np.nanmedian(seg_err)))
+            assert failing[np.isnan(seg_err).any(axis=1)].all()
+
+    def test_single_failing_segment(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            seg, err, seg_err = self._round(rng, 2)
+            top = np.sort(seg_err.max(axis=1))
+            failing = self._assert_same(seg, err, seg_err, float(0.5 * (top[-2] + top[-1])))
+            assert failing.sum() == 1
+

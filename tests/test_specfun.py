@@ -2,6 +2,10 @@
 
 import cmath
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -52,6 +56,15 @@ class TestScaledExponentialIntegrals:
             assert specfun.exp_neg_ei(x) == pytest.approx(
                 oracle_exp_neg_ei(x), rel=1e-10
             ), f"x={x}"
+
+    def test_octave_pieces_to_about_one_ulp(self):
+        # Horner's rule on the well-conditioned power basis of each octave
+        xs = log_grid(1.0, 64.0, 2001)[1:-1] + [y for y in PIECE_EDGES if 1.0 < y < 64.0]
+        e1s, eis = specfun.exp_e1_ei(np.array(xs))
+        for got, f in ((e1s, lambda x: mp.exp(x) * mp.e1(x)),
+                       (eis, lambda x: mp.exp(-x) * mp.ei(x))):
+            worst = max(abs(mp.mpf(float(v)) / f(x) - 1) for v, x in zip(got, xs))
+            assert worst < 2.5e-16
 
     def test_ndarray_equals_scalar_calls(self):
         # a float is evaluated as a one-node array, and each node's value
@@ -123,6 +136,19 @@ class TestScaledExponentialIntegrals:
         assert 0.0 < v
         # e^x E1(x) < ln(1 + 1/x) for all x > 0
         assert v < math.log1p(1.0 / x) + 1e-15
+
+
+def test_fit_script_prints_the_shipped_literals():
+    # every literal scripts/fit_expint.py prints is in specfun.py as printed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fit_expint.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         check=True).stdout
+    literals = re.split(r"\n(?=_)", out.strip())
+    assert [b.split(" = ", 1)[0] for b in literals] == [
+        "_E1_OCTAVES", "_EI_OCTAVES", "_EI_ZERO", "_EI_TAYLOR"]
+    source = Path(specfun.__file__).read_text()
+    for block in literals:
+        assert block in source, block.splitlines()[0]
 
 
 def arctan_ratio_complex(w0: float, gamma: float) -> complex:

@@ -2,6 +2,7 @@
 integrands, generic quadrature, and the cross-checks tying them together."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goldens
-from oracles import g_plus_derivative, k_exponential_integrand, k_extended_drude1_integrand
+from oracles import (
+    fused_integrand,
+    g_plus_derivative,
+    k_drude_closed_mp,
+    k_exponential_integrand,
+    k_extended_drude1_integrand,
+)
 from oscbath.quadrature import DivergenceClass, DivergenceTag, NonConvergence
 from oscbath.spectral import (
     Drude,
@@ -19,6 +26,7 @@ from oscbath.spectral import (
     ExtendedOhmic,
     InvalidModel,
     Ohmic,
+    boundary_kernel,
     g_plus,
 )
 from oscbath import thermo
@@ -65,6 +73,33 @@ class TestParameterMaps:
         assert s2 == pytest.approx(w0_in**2 + go * wd, rel=1e-12)
         assert s3 == pytest.approx(w0_in**2 * wd, rel=1e-12)
 
+    @pytest.mark.parametrize("args", [(1.0, 1e3, 1e-8), (1.0, 5.3e3, 3.7e-8), (1.0, 1e4, 1e-7)])
+    def test_weak_coupling_against_50_digit_roots(self, args):
+        # gamma is far below omega_d here: Vieta's forms from Omega keep its
+        # relative accuracy, a root solver's pair does not
+        p = thermo.drude_params_from_physical(*args)
+        with mp.workdps(50):
+            w0, wd, go = (mp.mpf(v) for v in args)
+            roots = mp.polyroots([1, -wd, w0 ** 2 + go * wd, -w0 ** 2 * wd],
+                                 maxsteps=200, extraprec=200)
+            omega = max(roots, key=mp.re)
+            z1, z2 = (r for r in roots if r is not omega)
+            for got, want in ((p.Omega, mp.re(omega)), (p.w0 ** 2, mp.re(z1 * z2)),
+                              (p.gamma, mp.re(z1 + z2))):
+                assert abs(got / want - 1) < 1e-14, (args, got, want)
+
+    def test_regime_matches_the_sign_of_the_discriminant(self):
+        # the pair is real (overdamped) iff the pole cubic's discriminant,
+        # in exact rational arithmetic, is not negative
+        for w0 in np.geomspace(0.1, 10.0, 15).tolist():
+            for wd in np.geomspace(0.1, 1e4, 15).tolist():
+                for go in np.geomspace(1e-6, 100.0, 12).tolist():
+                    b, c = -Fraction(wd), Fraction(w0) ** 2 + Fraction(go) * Fraction(wd)
+                    d = -Fraction(w0) ** 2 * Fraction(wd)
+                    disc = 18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3 - 27 * d * d
+                    want = "overdamped" if disc >= 0 else "underdamped"
+                    assert thermo.drude_params_from_physical(w0, wd, go).regime == want, (w0, wd, go)
+
     def test_xdrude2_physical_frequency(self):
         p = thermo.drude_params_from_physical(1.3, 0.7, 0.9, variant="xdrude2")
         assert math.sqrt(p.Omega * p.gamma + p.w0**2) == pytest.approx(1.3, rel=1e-12)
@@ -82,6 +117,20 @@ class TestDrudeConsistency:
         rep = thermo.thermo_report(model, 1.0, 1.0)
         assert rep.E_s0 == pytest.approx(es_q, abs=1e-7)
         assert rep.F0 == pytest.approx(f_q, abs=1e-7)
+
+    def test_weak_coupling_closed_form_k(self):
+        # K = F - E_s of two numbers near hbar omega_0/2: against the same
+        # closed form at 50 digits, on weakly coupled draws (gamma_o in
+        # [1e-8, 1e-3], omega_d in [0.1, 1e4]) and the worst draws of a
+        # 300-draw scan
+        rng = np.random.default_rng(11)
+        points = [(10.0 ** rng.uniform(-8, -3), 10.0 ** rng.uniform(-1, 4)) for _ in range(60)]
+        points += [(2.0157353613103365e-08, 2248.664093758725), (3.7e-8, 5.3e3),
+                   (1.69e-8, 2770.0), (1e-8, 1e3), (1e-7, 1e3)]
+        for gamma_o, omega_d in points:
+            k = thermo.k_drude_closed(1.0, omega_d, gamma_o)
+            ref = k_drude_closed_mp(1.0, omega_d, gamma_o)
+            assert abs(k / ref - 1) < 1e-6, (gamma_o, omega_d)
 
     def test_triangle_on_table_grid(self):
         for w0 in goldens.TABLE2_GRID:
@@ -257,6 +306,25 @@ class TestRealArithmeticIntegrands:
         l0 = np.full((1, 3), 1.0 / gamma_o)
         ld = (self.CUTOFFS / gamma_o)[None, :]
         self._assert_close(f(self.LAM), k_extended_drude1_integrand(l0, ld, self.LAM))
+
+    MEMBERS = [Ohmic(1.0), ExtendedOhmic(1.0, 2), Drude(1.0, 5.0), Exponential(1.0, 5.0),
+               *(ExtendedDrude(1.0, 5.0, n) for n in (1, 2, 4, 6))]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", MEMBERS, ids=repr)
+    def test_fused_integrand_matches_the_complex_quotients(self, model):
+        # E_s, F and K of the report's one integral, every family's kernel
+        w = np.geomspace(1e-6, 1e12, 400)
+        kernel = boundary_kernel(model)
+        for omega_0 in (0.3, 1.0, 7.0):
+            ref = fused_integrand(kernel, omega_0, w)
+            got = thermo._integrand(kernel, omega_0, (0, 1, 2))(w)
+            # relative accuracy down to the subnormals (exp's tail underflows)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref) + np.finfo(float).tiny)
+            # a subset of the columns, in order
+            for columns in ((0, 1), (2,), (0, 2)):
+                part = thermo._integrand(kernel, omega_0, columns)(w)
+                assert np.array_equal(part, got[:, list(columns)])
 
     def test_weak_coupling_pins(self):
         assert thermo.k_exponential(1.0, 1e4, 1e-8) == pytest.approx(1.590954764842e-09, rel=1e-12)
