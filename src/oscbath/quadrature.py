@@ -5,17 +5,18 @@ per node, or ``(n, m)``, one row of ``m`` entries per node that share one
 set of panels; results are then floats or ndarrays of shape ``(m,)``, and
 ``evaluations`` counts nodes.
 
-Finite intervals are integrated with an adaptive Gauss(7)-Kronrod(15) rule;
-callers may declare interior split points (resonances, cutoffs) to seed
-the initial subdivision, and the half line is mapped onto [0, 1) by
-x = t/(1-t). All starting panels go through one call. Each refinement
-round bisects the worst panels together (as many as it takes for the rest
-to be within ``tol/2`` for every entry) and evaluates the new panels in one
-call. Once the first call has shown the number of entries, a call takes at
-most ``MAX_BATCH`` node-entries. Each entry's summed error estimate ends at
-most ``tol``, and a panel narrower than ``PANEL_ULPS`` ulps of its
-endpoints that still misses it raises ``NonConvergence`` instead of being
-refined further.
+Finite intervals are integrated with an adaptive Gauss(7)-Kronrod(15)
+rule; callers may declare interior split points (resonances, cutoffs) to
+seed the initial subdivision. The half line is mapped onto [0, 1) by
+x = t/(1-t), and the geometric panels of a tail window become the entries
+of one integral over [0, 1] (:func:`classify_tail`). All starting panels go
+through one call. Each refinement round bisects the worst panels together
+(as many as it takes for the rest to be within ``tol/2`` for every entry)
+and evaluates the new panels in one call. Once the first call has shown
+the number of entries, a call takes at most ``MAX_BATCH`` node-entries.
+Each entry's summed error estimate ends at most ``tol``, and a panel
+narrower than ``PANEL_ULPS`` ulps of its endpoints that still misses it
+raises ``NonConvergence`` instead of being refined further.
 """
 
 from __future__ import annotations
@@ -136,9 +137,8 @@ def integrate_interval(
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("interval must satisfy a < b, both finite")
     edges = np.array(sorted({a, b, *(p for p in split_points if a < p < b)}))
-    value, err, evals, ndim = _refine_batched(
-        f, edges, np.zeros(len(edges) - 1, dtype=np.intp), tol, max_evals)
-    return _result(value[0], err[0], evals, True, ndim)
+    value, err, evals, ndim = _refine_batched(f, edges, tol, max_evals)
+    return _result(value, err, evals, True, ndim)
 
 
 # the 15 Kronrod nodes on [-1, 1] in ascending order; the rows of _RULES,
@@ -178,29 +178,22 @@ def _gk15(f: Callable, lo: np.ndarray, hi: np.ndarray, m: int):
     return h[:, None] * value, np.abs(h[:, None] * diff), y.ndim
 
 
-def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
-                    max_evals: int):
+def _refine_batched(f: Callable, edges: np.ndarray, tol: float, max_evals: int):
     """Refine the panels between consecutive ``edges`` in rounds until the
-    summed error of every segment and entry is at most ``tol``; panel i
-    belongs to segment ``seg[i]`` (nondecreasing from 0).
+    summed error of every entry is at most ``tol``.
 
-    Returns the values and errors summed per segment, of shape (segments,
-    entries), the number of nodes evaluated, and the dimension of f's output.
+    Returns the values and errors summed over the panels, of shape
+    (entries,), the number of nodes evaluated, and the dimension of f's output.
     """
     lo, hi = edges[:-1], edges[1:]
-    n_seg = int(seg[-1]) + 1
     val, err, ndim = _gk15(f, lo, hi, 1)
     evals = 15 * len(lo)
     while True:
-        seg_err = _segment_sums(seg, err, n_seg)
-        failing = ~(seg_err <= tol).all(axis=1)  # a NaN error fails
-        if not failing.any():
+        total = err.sum(axis=0)
+        if (total <= tol).all():  # a NaN error fails
             break
         worst = err.max(axis=1)
-        if n_seg == 1:
-            pick = _to_bisect(err, worst, seg_err[0], tol)
-        else:
-            pick = _to_bisect_segments(err, worst, seg, seg_err, failing, tol)
+        pick = _to_bisect(err, worst, total, tol)
         room = max(0, (max_evals - evals) // 30)
         if len(pick) > room:
             pick = pick[np.argsort(-worst[pick], kind="stable")[:room]]
@@ -208,13 +201,13 @@ def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
         narrow = p_hi - p_lo < PANEL_ULPS * np.spacing(np.maximum(np.abs(p_lo), np.abs(p_hi)))
         if room < 1 or narrow.any():
             if room < 1:
-                message = (f"quadrature budget exhausted: error {np.nanmax(seg_err):.3e} "
+                message = (f"quadrature budget exhausted: error {np.nanmax(total):.3e} "
                            f"> tol {tol:.3e}")
             else:
                 i = pick[np.argmax(narrow)]
                 message = (f"panel [{float(lo[i])!r}, {float(hi[i])!r}] at machine width "
                            f"still has error {worst[i]:.3e} (tol {tol:.3e})")
-            partial = _result(val.sum(axis=0), err.sum(axis=0), evals, False, ndim)
+            partial = _result(val.sum(axis=0), total, evals, False, ndim)
             raise NonConvergence(message, partial)
         mid = 0.5 * (p_lo + p_hi)
         new_lo = np.concatenate((p_lo, mid))
@@ -224,17 +217,8 @@ def _refine_batched(f: Callable, edges: np.ndarray, seg: np.ndarray, tol: float,
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
         lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
-        seg = np.concatenate((seg[keep], seg[pick], seg[pick]))
         val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
-    return _segment_sums(seg, val, n_seg), seg_err, evals, ndim
-
-
-def _segment_sums(seg: np.ndarray, x: np.ndarray, n_seg: int) -> np.ndarray:
-    if n_seg == 1:
-        return x.sum(axis=0, keepdims=True)
-    sums = np.zeros((n_seg, x.shape[1]))
-    np.add.at(sums, seg, x)
-    return sums
+    return val.sum(axis=0), total, evals, ndim
 
 
 def _to_bisect(err: np.ndarray, worst: np.ndarray, total: np.ndarray, tol: float) -> np.ndarray:
@@ -244,30 +228,6 @@ def _to_bisect(err: np.ndarray, worst: np.ndarray, total: np.ndarray, tol: float
     ranked = err[order]
     left = total - np.cumsum(ranked, axis=0) + ranked  # error left before each
     return order[:np.count_nonzero(~(left <= 0.5 * tol).all(axis=1))]
-
-
-def _to_bisect_segments(err: np.ndarray, worst: np.ndarray, seg: np.ndarray,
-                        seg_err: np.ndarray, failing: np.ndarray, tol: float) -> np.ndarray:
-    """:func:`_to_bisect` of every ``failing`` segment in one pass: the
-    panels it picks from each, the segments in ascending order.
-
-    The panels of the failing segments are sorted by segment, then worst
-    first, and laid out one segment per row, padded with zeros, so one
-    cumsum along the rows adds each segment's errors in the order, and with
-    the roundings, of its own.
-    """
-    idx = np.flatnonzero(failing[seg])
-    order = idx[np.lexsort((-worst[idx], seg[idx]))]
-    s = seg[order]
-    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    sizes = np.diff(np.append(first, len(s)))
-    row = np.repeat(np.arange(len(first)), sizes)
-    col = np.arange(len(s)) - first[row]
-    ranked = np.zeros((len(first), sizes.max(), err.shape[1]))
-    ranked[row, col] = err[order]
-    left = seg_err[s[first], None, :] - np.cumsum(ranked, axis=1) + ranked
-    missing = ~(left[row, col] <= 0.5 * tol).all(axis=1)
-    return order[col < np.bincount(row, weights=missing, minlength=len(first))[row]]
 
 
 def _result(value, err, evals, converged, ndim) -> IntegralResult:
@@ -308,25 +268,34 @@ def _over_u2(y, u: np.ndarray) -> np.ndarray:
 
 
 def classify_tail(
-    f: Callable, window: tuple[float, float] = (10.0, 1e6)
+    f: Callable, window: tuple[float, float]
 ) -> DivergenceClass | tuple[DivergenceClass, ...]:
     """Classify the large-x behaviour of int f by geometric panel ratios.
 
     Panel integrals over a geometric progression of subintervals decay
     geometrically for convergent tails, stay constant for a 1/x tail, and
-    grow geometrically for slower-than-1/x decay. The ``TAIL_PANELS``
-    window panels go through one call and are refined together, each to
-    ``TAIL_TOL``. An ``(n, m)`` integrand gets a tuple of ``m`` classes, one
-    per entry.
+    grow geometrically for slower-than-1/x decay. With r = hi/lo, panel i
+    of the ``TAIL_PANELS`` is x = lo r^((i + s)/TAIL_PANELS) for s in
+    [0, 1], so the panels are the entries of one integral over s, with
+    Jacobian x ln(r)/TAIL_PANELS. Each is refined to ``TAIL_TOL``, all within
+    200,000 points s (2.4M nodes of f). An ``(n, m)`` integrand gets a tuple
+    of ``m`` classes, one per entry. A NonConvergence partial holds the
+    ``TAIL_PANELS * m`` panel integrals and errors (entry i m + j is panel i
+    of column j) and counts points s.
     """
     lo, hi = window
     if not (0.0 < lo < hi < math.inf):
         raise ValueError("window must satisfy 0 < lo < hi, hi finite")
-    edges = [lo * (hi / lo) ** (i / TAIL_PANELS) for i in range(TAIL_PANELS + 1)]
-    panels, _, _, ndim = _refine_batched(
-        f, np.array(edges), np.arange(TAIL_PANELS), TAIL_TOL, 200_000 * TAIL_PANELS)
-    classes = tuple(_classify(column.tolist()) for column in panels.T)
-    return classes[0] if ndim == 1 else classes
+    panel, scale = np.arange(TAIL_PANELS), math.log(hi / lo) / TAIL_PANELS
+
+    def g(s: np.ndarray) -> np.ndarray:
+        x = (lo * (hi / lo) ** ((panel + s[:, None]) / TAIL_PANELS)).ravel()
+        y = np.asarray(f(x), dtype=float).T * (scale * x)  # transposed: nodes last
+        return y.T.reshape(len(s), TAIL_PANELS, *y.shape[:-1])
+
+    panels, _, _, ndim = _refine_batched(g, np.array([0.0, 1.0]), TAIL_TOL, 200_000)
+    classes = tuple(_classify(col.tolist()) for col in panels.reshape(TAIL_PANELS, -1).T)
+    return classes[0] if ndim == 2 else classes  # g adds the panel axis to f's
 
 
 def _classify(panels: list[float]) -> DivergenceClass:

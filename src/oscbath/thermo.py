@@ -118,6 +118,9 @@ def drude_params_from_physical(
     """
     if omega_0 <= 0 or omega_d <= 0 or gamma_o <= 0:
         raise ValueError("omega_0, omega_d, gamma_o must be positive")
+    for name, value in (("omega_0", omega_0), ("omega_d", omega_d)):
+        if not math.isfinite(value * value):
+            raise ValueError(f"{name} = {value:g} is out of range: its square overflows")
     if variant == "drude":
         Omega = _drude_omega(omega_0, omega_d, gamma_o)
         w0sq = omega_0 ** 2 * omega_d / Omega
@@ -458,6 +461,9 @@ def _continuous(
     """
     kernel = boundary_kernel(model)
     window = (30.0 * max([omega_0, *_cutoffs(model)]), 1e8)
+    if not window[0] < window[1]:
+        raise ValueError("tail classification needs omega_0 and every cutoff below "
+                         "1e8/30 (about 3.33e6)")
     if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
         return list(classify_tail(_integrand(kernel, omega_0, (_ES, _F, _K)), window)), 0.0
     triple = [cls if cls.tag is not DivergenceTag.CONVERGENT else None
@@ -524,8 +530,9 @@ def thermo_report(
     integrals behind the reported numbers, in energy units; 0 for closed
     forms and divergence classes. Each integral gets ``tol`` and
     ``max_evals``. Raises InvalidModel for a distributional kernel,
-    ValueError when ``M`` or ``omega_0`` is not positive and finite, and
-    NonConvergence when an integral misses ``tol`` within its budget.
+    ValueError when ``M`` or ``omega_0`` is not positive and finite or a
+    Drude parameter or the tail window is out of range, and NonConvergence
+    when an integral misses ``tol`` within its budget.
     """
     _require_system(M, omega_0)
     status = classify_model(model)

@@ -8,10 +8,9 @@ shares none of their algebra. The spectral density J(w) itself, their input,
 and dG_+/dw, the analytic side of finite-difference checks, live here too,
 as do the integrands of the two lambda forms of K and of the fused
 E_s/F/K route written as complex quotients, the references for their
-real-arithmetic forms, the per-segment loop that the quadrature's
-one-pass panel pick replaced, and the Drude closed form of K evaluated at
-50 digits, the reference for its rounding at weak coupling. None of them is in ``oscbath``, because no
-program path runs them.
+real-arithmetic forms, and the Drude closed form of K evaluated at 50
+digits, the reference for its rounding at weak coupling. None of them is in
+``oscbath``, because no program path runs them.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from oscbath.quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_TOL,
     IntegralResult,
-    _to_bisect,
     integrate_interval,
     integrate_semi_infinite,
 )
@@ -188,17 +186,6 @@ def fused_integrand(kernel: Callable, omega_0: float, w: np.ndarray) -> np.ndarr
     f = w * (-((2.0 * w + 1j * gp + 1j * w * dgp) / G)).imag
     k = (w2 * (-1j * dgp) / G).imag
     return np.stack((es, f, k), axis=1)
-
-
-def to_bisect_per_segment(
-    err: np.ndarray, worst: np.ndarray, seg: np.ndarray, seg_err: np.ndarray,
-    failing: np.ndarray, tol: float,
-) -> np.ndarray:
-    """The panels ``quadrature._to_bisect`` picks in each failing segment,
-    one segment at a time in ascending order, concatenated."""
-    return np.concatenate([
-        i[_to_bisect(err[i], worst[i], seg_err[s], tol)]
-        for s in np.flatnonzero(failing) for i in (np.flatnonzero(seg == s),)])
 
 
 def k_drude_closed_mp(omega_0: float, omega_d: float, gamma_o: float, dps: int = 50):

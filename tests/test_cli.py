@@ -378,6 +378,8 @@ class TestBadValues:
         ["fig1", "--tol", "1e-3"],
         *(["discrete", name] for name in BAD_BATHS if name != "DEGENERATE_BATH"),
         ["report", "--model", "drude g=1 wd=5 wd=7", "--omega0", "1"],
+        ["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"],
+        ["report", "--model", "exp g=1 we=4e6", "--omega0", "1"],
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -388,8 +390,14 @@ class TestBadValues:
         assert rc == 1
         assert captured.out == ""
         assert "error:" in captured.err
+        assert not captured.err.startswith("error: (34")  # a bare errno tuple
         assert "Traceback" not in captured.err
         assert not (tmp_path / "check.txt").exists()
+
+    def test_overflowing_drude_parameter_is_named(self, capsys):
+        assert main(["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "omega_d = 1e+200 is out of range" in err
 
     @pytest.mark.xfail(strict=True, reason=(
         "defect 13 (ROADMAP direction 6): a weight c^2/(m w^2) = 2.5e299 "

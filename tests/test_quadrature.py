@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SingularityMisdeclared, principal_value_integral, to_bisect_per_segment
+from oracles import SingularityMisdeclared, principal_value_integral
 from oscbath.quadrature import (
     MAX_BATCH,
     TAIL_PANELS,
@@ -18,8 +18,6 @@ from oscbath.quadrature import (
     classify_tail,
     integrate_interval,
     integrate_semi_infinite,
-    _segment_sums,
-    _to_bisect_segments,
 )
 
 mp.mp.dps = 30
@@ -212,6 +210,12 @@ class TestClassifyTail:
             (1.0, DivergenceTag.LOG_DIVERGENT),
             (1.5, DivergenceTag.CONVERGENT),
             (2.0, DivergenceTag.CONVERGENT),
+            # panel ratios 1.259, 1.211, 0.810 and 0.779: just outside the
+            # 1.25 and 0.8 thresholds, so each panel must be accurate
+            (0.76, DivergenceTag.POWER_DIVERGENT),
+            (0.8, DivergenceTag.LOG_DIVERGENT),
+            (1.22, DivergenceTag.LOG_DIVERGENT),
+            (1.26, DivergenceTag.CONVERGENT),
         ]:
             c = classify_tail(lambda x, p=p: x ** (-p), window=(10.0, 1e6))
             assert c.tag is tag, f"p={p}"
@@ -238,49 +242,45 @@ class TestClassifyTail:
         one_by_one = [classify_tail(f, window=window) for f in fs]
         assert classify_tail(rows, window=window) == tuple(one_by_one)
 
+    def test_one_call_for_exact_panels(self):
+        # 1/x is constant in s on every panel: one call of f, 15 nodes each
+        sizes = []
 
-class TestSegmentPick:
-    """The one-pass pick of a multi-segment round against the loop over its
-    failing segments: the same panels in the same order."""
+        def f(x):
+            sizes.append(x.size)
+            return 1.0 / x
 
-    @staticmethod
-    def _round(rng, m, ties=False, nan=False):
-        seg = np.repeat(np.arange(TAIL_PANELS), rng.integers(1, 9, TAIL_PANELS))
-        err = rng.exponential(size=(len(seg), m)) * 10.0 ** rng.uniform(-4, 0, (len(seg), 1))
-        if ties:
-            err = np.round(err, 2)  # equal worst errors, zeros among them
-        if nan:
-            err[rng.integers(len(seg)), rng.integers(m)] = np.nan
-        return seg, err, _segment_sums(seg, err, TAIL_PANELS)
+        assert classify_tail(f, window=(10.0, 1e6)).tag is DivergenceTag.LOG_DIVERGENT
+        assert sizes == [TAIL_PANELS * 15]
 
-    @staticmethod
-    def _assert_same(seg, err, seg_err, tol):
-        failing = ~(seg_err <= tol).all(axis=1)
-        worst = err.max(axis=1)
-        got = _to_bisect_segments(err, worst, seg, seg_err, failing, tol)
-        assert np.array_equal(got, to_bisect_per_segment(err, worst, seg, seg_err, failing, tol))
-        return failing
+    def test_vectorized_calls_bounded(self):
+        # cos(x)^2/x needs thousands of panels in s; every call of an (n, 3)
+        # tail takes at most MAX_BATCH node-entries
+        sizes = []
 
-    @pytest.mark.parametrize("m", [1, 3])
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_random_rounds(self, m, ties):
-        rng = np.random.default_rng(7 + m + 10 * ties)
-        for _ in range(100):
-            seg, err, seg_err = self._round(rng, m, ties=ties)
-            self._assert_same(seg, err, seg_err, float(np.median(seg_err)))
+        def f(x):
+            sizes.append(x.size)
+            return np.stack([np.cos(x) ** 2 / x, 1.0 / x, x ** -2.0], axis=1)
 
-    def test_nan_error_fails_its_segment(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            seg, err, seg_err = self._round(rng, 2, ties=True, nan=True)
-            failing = self._assert_same(seg, err, seg_err, float(np.nanmedian(seg_err)))
-            assert failing[np.isnan(seg_err).any(axis=1)].all()
+        classes = classify_tail(f, window=(10.0, 1e4))
+        assert [c.tag for c in classes] == [DivergenceTag.LOG_DIVERGENT,
+                                            DivergenceTag.LOG_DIVERGENT,
+                                            DivergenceTag.CONVERGENT]
+        assert len(sizes) > 2 and max(sizes) * 3 <= MAX_BATCH
 
-    def test_single_failing_segment(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            seg, err, seg_err = self._round(rng, 2)
-            top = np.sort(seg_err.max(axis=1))
-            failing = self._assert_same(seg, err, seg_err, float(0.5 * (top[-2] + top[-1])))
-            assert failing.sum() == 1
+    def test_noise_exhausts_budget(self):
+        # no refinement settles seeded noise: NonConvergence within 2.4M
+        # nodes of f, its partial holding the panel integrals
+        rng = np.random.default_rng(0)
+        sizes = []
 
+        def f(x):
+            sizes.append(x.size)
+            return rng.standard_normal(x.size)
+
+        with pytest.raises(NonConvergence) as exc:
+            classify_tail(f, window=(10.0, 1e6))
+        partial = exc.value.partial
+        assert not partial.converged
+        assert partial.value.shape == partial.abs_error_estimate.shape == (TAIL_PANELS,)
+        assert TAIL_PANELS * partial.evaluations == sum(sizes) <= 2_400_000

@@ -18,7 +18,7 @@ from oracles import (
     k_exponential_integrand,
     k_extended_drude1_integrand,
 )
-from oscbath.quadrature import DivergenceClass, DivergenceTag, NonConvergence
+from oscbath.quadrature import DivergenceClass, DivergenceTag, Inconclusive, NonConvergence
 from oscbath.spectral import (
     Drude,
     Exponential,
@@ -620,6 +620,19 @@ class TestThermoReport:
             assert [str(v) for v in (rep.E_s0, rep.F0, rep.K)] == [
                 "LogDivergent(+)", "LogDivergent(-)", "LogDivergent(-)"], model
             assert rep.K_normalized is None
+
+    @pytest.mark.xfail(strict=True, raises=Inconclusive, reason=(
+        "defect 14 (ROADMAP): the classification window ends at a fixed 1e8; "
+        "these panel ratios settle only on a window that ends near 1.18e10"))
+    def test_short_window_classifies_n4(self):
+        rep = thermo.thermo_report(ExtendedDrude(0.192, 3920.0, 4), 1.0, 1.78)
+        assert str(rep.K) == "LogDivergent(-)"
+
+    def test_window_beyond_its_fixed_end_is_rejected(self):
+        for model, omega_0 in [(Exponential(1.0, 4e6), 1.0), (ExtendedDrude(1.0, 1e7, 2), 1.0),
+                               (Ohmic(1.0), 4e6)]:
+            with pytest.raises(ValueError, match="1e8/30"):
+                thermo.thermo_report(model, 1.0, omega_0)
 
     def test_error_estimate_is_measured(self):
         # the summed error estimates of the integrals behind the numbers,
