@@ -30,6 +30,7 @@ from . import specfun
 from .quadrature import (
     DEFAULT_MAX_EVALS,
     DEFAULT_TOL,
+    PANEL_ULPS,
     DivergenceClass,
     DivergenceTag,
     classify_tail,
@@ -124,7 +125,11 @@ def drude_params_from_physical(
     if variant == "drude":
         Omega = _drude_omega(omega_0, omega_d, gamma_o)
         w0sq = omega_0 ** 2 * omega_d / Omega
+        if not 0.0 < w0sq < math.inf:
+            raise ValueError("w0^2 of the Drude pole cubic is out of range")
         gamma = gamma_o * omega_d ** 2 / (Omega * omega_d + w0sq)
+        if not 0.0 < gamma < math.inf:
+            raise ValueError("gamma of the Drude pole cubic is out of range")
     elif variant == "xdrude2":
         roots = np.roots([1.0, -(omega_d + gamma_o), omega_0 ** 2, -omega_0 ** 2 * omega_d])
         real_mask = np.abs(roots.imag) < 1e-9 * np.abs(roots.real)
@@ -157,10 +162,16 @@ def _drude_omega(omega_0: float, omega_d: float, gamma_o: float) -> float:
     p(x) = gamma_o omega_d x - (omega_d - x)(x^2 + omega_0^2).
 
     p(0) < 0 < p(omega_d) and all roots are positive with sum omega_d, so
-    the root lies in (0, omega_d). Newton's iteration runs from omega_d
-    inside a bracket on which it is the only root: above the local minimum
-    of p when that is negative (three real roots), else (0, omega_d). A
-    step that leaves the bracket is replaced by bisection.
+    the root lies in (0, omega_d). Newton's iteration runs from the upper
+    end of a bracket on which it is the only root: above the local minimum
+    of p when that is negative (three real roots), else (0, omega_d). The
+    small-root estimate x_e = omega_d omega_0^2 / (omega_0^2 + gamma_o omega_d)
+    has p(x_e) = -(omega_d - x_e) x_e^2 < 0, so it raises the lower end;
+    where p is positive at twice the lower end (for x_e, whenever
+    x_e < omega_0/2: strong coupling, where the root can lie 1000 halvings
+    below omega_d) that is the upper end. A step that leaves the bracket
+    is replaced by bisection. Raises ValueError when x_e, a lower bound of
+    the root, underflows.
     """
     w0sq = omega_0 * omega_0
     slope0 = w0sq + gamma_o * omega_d  # p'(0)
@@ -168,13 +179,17 @@ def _drude_omega(omega_0: float, omega_d: float, gamma_o: float) -> float:
     def p(x: float) -> float:
         return gamma_o * omega_d * x - (omega_d - x) * (x * x + w0sq)
 
-    lo, hi = 0.0, omega_d
+    lo, hi = omega_d * (w0sq / slope0), omega_d
+    if not lo > 0.0:
+        raise ValueError("Omega of the Drude pole cubic is out of range: it underflows")
     disc = omega_d * omega_d - 3.0 * slope0
     if disc > 0.0:
         x_min = (omega_d + math.sqrt(disc)) / 3.0
         if p(x_min) < 0.0:
-            lo = x_min
-    x = omega_d
+            lo = max(lo, x_min)
+    if p(2.0 * lo) > 0.0:
+        hi = min(hi, 2.0 * lo)
+    x = hi
     for _ in range(200):
         px = p(x)
         if px == 0.0:
@@ -223,21 +238,40 @@ def _drude_es_f(
     """E_s(0) and F(0) of the Drude model from one pole cubic.
 
     E_s(0) is hbar/2pi (omega_0^2 I0 + I2) with I0 and I2 the integrals of
-    M Im chi and M w^2 Im chi over w > 0.
+    M Im chi and M w^2 Im chi over w > 0. The cubic's (w0, Omega, gamma)
+    enter in units of s, the power of 2 at or above the largest of them,
+    which is exact: I0 = i0/s, I2 = s i2 and F = s f in those units, and no
+    intermediate such as w0^4 overflows where E_s(0) and F(0) are finite.
+    The logarithms and arctan_ratio take their arguments unscaled, where a
+    tiny Omega/s or w0/s would underflow to 0.
+    Raises ValueError naming E_s(0) or F(0) when it overflows itself, or K
+    when F(0) - E_s(0) is below their rounding.
     """
     params = drude_params_from_physical(omega_0, omega_d, gamma_o)
-    w0, Om, g = params.w0, params.Omega, params.gamma
-    t = specfun.arctan_ratio(w0, g)
-    lg = math.log(Om / w0)
+    # unscaled; a difference of logs where the ratio under- or overflows
+    ratio = params.Omega / params.w0
+    lg = (math.log(ratio) if 0.0 < ratio < math.inf
+          else math.log(params.Omega) - math.log(params.w0))
+    s = 2.0 ** math.frexp(max(params.w0, params.Omega, params.gamma))[1]
+    w0, Om, g = params.w0 / s, params.Omega / s, params.gamma / s
+    t = s * specfun.arctan_ratio(params.w0, params.gamma)
     den = w0 * w0 - Om * g + Om * Om
     i0 = ((w0 * w0 + Om * Om - 0.5 * g * g) * t - g * lg) / den
     i2 = ((w0 ** 4 + w0 ** 2 * Om ** 2 - 0.5 * Om ** 2 * g ** 2) * t
           + Om ** 2 * g * lg) / den
     w1sq = w0 * w0 - 0.25 * g * g
     # log1p: at weak coupling g/Om is far below an ulp's worth of (Om + g)/Om
-    f = (Om + g) * math.log1p(g / Om) + g * lg + 2.0 * w1sq * t
+    f = (Om + g) * math.log1p(params.gamma / params.Omega) + g * lg + 2.0 * w1sq * t
     scale = hbar / (2.0 * math.pi)
-    return scale * (omega_0 ** 2 * i0 + i2), scale * f
+    es, f0 = scale * s * ((omega_0 / s) ** 2 * i0 + i2), scale * s * f
+    for name, value in (("E_s(0)", es), ("F(0)", f0)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} of the Drude model is out of range")
+    # K > 0 with a cutoff; at or below this it has no significant digit left
+    if not f0 - es > 8.0 * math.ulp(f0):
+        raise ValueError(f"K = F(0) - E_s(0) of the Drude model is lost in the rounding "
+                         f"of E_s(0) = {es:.6g} and F(0) = {f0:.6g}")
+    return es, f0
 
 
 def k_drude_closed(
@@ -425,7 +459,8 @@ def _integrand(kernel: Callable, omega_0: float, columns: tuple[int, ...]):
     def integrand(w: np.ndarray) -> np.ndarray:
         gp, dgp = kernel(w)
         w2 = w * w
-        g_re = w2 - w0sq - w * gp.imag
+        # (w - w0)(w + w0), not w^2 - w0^2: no rounding of w^2 near a narrow peak
+        g_re = (w - omega_0) * (w + omega_0) - w * gp.imag
         g_im = w * gp.real
         inv = 1.0 / (g_re * g_re + g_im * g_im)
         out = np.empty((len(w), len(columns)))
@@ -443,6 +478,70 @@ def _integrand(kernel: Callable, omega_0: float, columns: tuple[int, ...]):
     return integrand
 
 
+# the most kernel calls the resonance locator makes, and how many doublings
+# of the largest split point are added toward the end of the half line
+_LOCATOR_CALLS = 8
+_DOUBLINGS = 4
+# the innermost peak split keeps this many machine widths (PANEL_ULPS ulps
+# of t) from the peak: in a narrower starting panel the rounding of the
+# nodes t/(1 - t) swamps the error estimate before the tolerance is met
+_PEAK_FLOOR = 1024
+
+
+def _resonance(kernel: Callable, omega_0: float) -> tuple[float, float] | None:
+    """The root w_r of Re G(w) = w^2 - w0^2 - w Im gamma_plus(w) next to
+    omega_0 and the half-width w_r Re gamma_plus(w_r) / (d Re G/dw) of its
+    peak, or None when there is no peak narrower than w_r there.
+
+    Newton's iteration from omega_0, one scalar kernel call a step, inside
+    the bracket (0, inf) that each step narrows (Re G(0+) = -omega_0^2). It
+    ends once a step is within the half-width: the stepped-to point is then
+    well inside the peak's central panel. It gives up when the slope is not
+    positive, the half-width is not in (0, w), a step leaves the bracket,
+    or ``_LOCATOR_CALLS`` calls have not converged.
+    """
+    w, lo, hi = omega_0, 0.0, math.inf
+    for _ in range(_LOCATOR_CALLS):
+        gp, dgp = kernel(w)
+        re_g = (w - omega_0) * (w + omega_0) - w * gp.imag
+        slope = 2.0 * w - gp.imag - w * dgp.imag
+        if not slope > 0.0:
+            return None
+        width = w * gp.real / slope
+        if not 0.0 < width < w:
+            return None
+        step = re_g / slope
+        if abs(step) <= width:
+            return float(w - step), float(width)
+        if re_g < 0.0:
+            lo = w
+        else:
+            hi = w
+        w -= step
+        if not lo < w < hi:
+            return None
+    return None
+
+
+def _split_points(kernel: Callable, omega_0: float, cutoffs: list[float]) -> list[float]:
+    """omega_0, 2 omega_0 and the cutoffs; w_r +- d 4^k for the located
+    peak (:func:`_resonance`), k = 0, 1, ... while d 4^k < w_r, so that its
+    Lorentzian is graded from the half-width out to w_r in starting panels;
+    and the largest point times 2, 4, ... 2^_DOUBLINGS. d is the half-width,
+    or ``_PEAK_FLOOR`` machine widths of the map x = t/(1 - t) of
+    :func:`integrate_semi_infinite` at w_r where that is wider."""
+    points = [omega_0, 2.0 * omega_0, *cutoffs]
+    peak = _resonance(kernel, omega_0)
+    if peak is not None:
+        w, d = peak
+        d = max(d, _PEAK_FLOOR * PANEL_ULPS * float(np.spacing(w / (1.0 + w))) * (1.0 + w) ** 2)
+        while d < w:
+            points += [w - d, w + d]
+            d *= 4.0
+    top = max(points)
+    return points + [top * 2.0 ** k for k in range(1, _DOUBLINGS + 1)]
+
+
 def _k_vanishes(model: SpectralModel) -> bool:
     # Ohmic damping: the K integrand vanishes pointwise
     return isinstance(model, ExtendedOhmic) and model.p == 0
@@ -456,7 +555,11 @@ def _continuous(
     A member whose K diverges gets one tail class per column from one
     ``classify_tail`` call. Otherwise the E_s and F columns are classified,
     the divergent ones keep their class, Ohmic's K is exactly zero, and the
-    rest are integrated as one shared-panel integral. Returns the triple and
+    rest are integrated as one shared-panel integral. Its starting panels
+    split at omega_0, 2 omega_0 and the cutoff, and around the resonance
+    that the model's kernel locates next to omega_0, graded by powers of 4
+    of its half-width (:func:`_split_points`), so that the engine need not
+    bisect its way to the peak one round at a time. Returns the triple and
     the summed error estimate of its values, both in energy units.
     """
     kernel = boundary_kernel(model)
@@ -474,7 +577,7 @@ def _continuous(
         return triple, 0.0
     res = integrate_semi_infinite(
         _integrand(kernel, omega_0, rest), tol=tol,
-        split_points=[omega_0, 2.0 * omega_0, *_cutoffs(model)], max_evals=max_evals)
+        split_points=_split_points(kernel, omega_0, _cutoffs(model)), max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
     for c, v in zip(rest, res.value):
         triple[c] = scale * float(v)

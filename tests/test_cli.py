@@ -380,6 +380,8 @@ class TestBadValues:
         ["report", "--model", "drude g=1 wd=5 wd=7", "--omega0", "1"],
         ["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"],
         ["report", "--model", "exp g=1 we=4e6", "--omega0", "1"],
+        # E_s(0) and F(0) are 5e99; K = F - E_s is lost in their rounding
+        ["report", "--model", "drude g=1 wd=1e100", "--omega0", "1e100"],
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -398,6 +400,13 @@ class TestBadValues:
         assert main(["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and "omega_d = 1e+200 is out of range" in err
+
+    @pytest.mark.parametrize("gamma_o", ["1e200", "1e300"])
+    def test_strongly_coupled_drude_reports(self, gamma_o, capsys):
+        # the pole cubic's Omega is near 1/gamma_o and w0^4 would overflow
+        assert main(["report", "--model", f"drude g={gamma_o} wd=1", "--omega0", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "method: closed-form" in out and "inf" not in out and "nan" not in out
 
     @pytest.mark.xfail(strict=True, reason=(
         "defect 13 (ROADMAP direction 6): a weight c^2/(m w^2) = 2.5e299 "

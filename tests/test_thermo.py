@@ -100,6 +100,14 @@ class TestParameterMaps:
                     want = "overdamped" if disc >= 0 else "underdamped"
                     assert thermo.drude_params_from_physical(w0, wd, go).regime == want, (w0, wd, go)
 
+    @pytest.mark.parametrize("gamma_o", [1e200, 1e300])
+    def test_strong_coupling_root_far_below_omega_d(self, gamma_o):
+        # Omega is about 1/gamma_o, some 660 to 1000 halvings below omega_d
+        p = thermo.drude_params_from_physical(1.0, 1.0, gamma_o)
+        assert p.Omega == pytest.approx(1.0 / (1.0 + gamma_o), rel=1e-14)
+        assert p.Omega + p.gamma == pytest.approx(1.0, rel=1e-14)
+        assert p.Omega * p.w0 ** 2 == pytest.approx(1.0, rel=1e-14)
+
     def test_xdrude2_physical_frequency(self):
         p = thermo.drude_params_from_physical(1.3, 0.7, 0.9, variant="xdrude2")
         assert math.sqrt(p.Omega * p.gamma + p.w0**2) == pytest.approx(1.3, rel=1e-12)
@@ -180,6 +188,22 @@ class TestDrudeConsistency:
         kc = thermo.k_drude_closed(w0, wd, go)
         assert kc > 0.0
         assert thermo.k_drude_lambda(w0, wd, go) == pytest.approx(kc, abs=1e-7)
+
+    @pytest.mark.parametrize("gamma_o, w0", [(1e200, 1e100), (1e300, 1e150)])
+    def test_strong_coupling_stays_finite(self, gamma_o, w0):
+        # w0 = sqrt(omega_0^2 omega_d / Omega) is about sqrt(gamma_o), so w0^4
+        # overflows; the references are the same closed form in 400-digit
+        # arithmetic: E_s(0) = w0/4 and F(0) = w0/2 to 15 digits
+        rep = thermo.thermo_report(Drude(gamma_o, 1.0), 1.0, 1.0)
+        assert rep.E_s0 == pytest.approx(0.25 * w0, rel=1e-13)
+        assert rep.F0 == pytest.approx(0.5 * w0, rel=1e-13)
+        assert rep.K == pytest.approx(0.25 * w0, rel=1e-13)
+
+    def test_k_lost_in_rounding_is_an_error(self):
+        # E_s(0) and F(0) are both 5e99, and K = F - E_s, of order gamma_o, is
+        # far below their last digit: no sign of it is left to report
+        with pytest.raises(ValueError, match="lost in the rounding"):
+            thermo.k_drude_closed(1e100, 1e100, 1.0)
 
 
 class _Captured(Exception):
@@ -656,3 +680,149 @@ class TestThermoReport:
                 for entry in entry_points:
                     with pytest.raises(ValueError, match="positive finite"):
                         entry(model, M, w0)
+
+
+class TestResonanceSplits:
+    """The report route's starting panels split at the located resonance."""
+
+    @staticmethod
+    def _count_gk15(monkeypatch):
+        from oscbath import quadrature
+
+        calls = []
+        gk15 = quadrature._gk15
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return gk15(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "_gk15", counting)
+        return calls
+
+    def test_located_width_is_the_half_maximum(self):
+        # weak coupling: the E_s integrand is a Lorentzian of half-width
+        # about Re gamma_plus / 2 around the root of Re G
+        kernel = boundary_kernel(ExtendedDrude(1e-5, 1000.0, 1))
+        w_r, width = thermo._resonance(kernel, 1.0)
+        assert width == pytest.approx(5e-9, rel=1e-5)
+        es = thermo._integrand(kernel, 1.0, (0,))
+        peak = es(np.array([w_r, w_r - width, w_r + width]))[:, 0]
+        assert peak[1:] / peak[0] == pytest.approx([0.5, 0.5], rel=1e-6)
+
+    @pytest.mark.parametrize("model, omega_0, cutoff", [
+        (Exponential(1.6044367042476708, 0.7898749401885063), 0.259, 0.7898749401885063),
+        (ExtendedDrude(2.4693524615655176, 0.7600193880254466, 1), 0.715, 0.7600193880254466),
+    ])
+    def test_no_narrow_peak_is_not_split(self, model, omega_0, cutoff):
+        # strongly coupled draws of the benchmark's ranges: omega_0, 2 omega_0,
+        # the cutoff and four doublings of the largest of them
+        kernel = boundary_kernel(model)
+        assert thermo._resonance(kernel, omega_0) is None
+        top = max(2.0 * omega_0, cutoff)
+        assert thermo._split_points(kernel, omega_0, [cutoff]) == [
+            omega_0, 2.0 * omega_0, cutoff, 2.0 * top, 4.0 * top, 8.0 * top, 16.0 * top]
+
+    # GK15 calls per report, the classification call included, before the
+    # resonance was split: 12, 6 and 9
+    PINNED = [(ExtendedDrude(2.41, 12.97, 2), 0.221, 12),
+              (Exponential(2.28, 36.8), 3.03, 6),
+              (ExtendedDrude(0.344, 10.94, 1), 0.476, 9)]
+
+    @staticmethod
+    def _reference(model, omega_0) -> tuple[float, float]:
+        """An independent K and its own tolerance."""
+        if isinstance(model, Exponential):
+            return thermo.k_exponential(omega_0, model.omega_e, model.gamma_o), 1e-9
+        if model.n == 1:
+            # tol bounds K / (hbar gamma_o / 2 pi)
+            return (thermo.k_extended_drude1(omega_0, model.omega_d, model.gamma_o),
+                    model.gamma_o / (2.0 * math.pi) * 1e-9)
+        p = thermo.drude_params_from_physical(omega_0, model.omega_d, model.gamma_o,
+                                              variant="xdrude2")
+        return thermo.k_extended_drude2_closed(p.w0, p.Omega, p.gamma), 1e-10
+
+    def test_fewer_gk15_calls(self, monkeypatch):
+        calls = self._count_gk15(monkeypatch)
+        counts = []
+        for model, omega_0, before in self.PINNED:
+            calls.clear()
+            rep = thermo.thermo_report(model, 1.0, omega_0)
+            counts.append(len(calls))
+            assert len(calls) < before, model
+            ref, ref_tol = self._reference(model, omega_0)
+            assert abs(rep.K - ref) <= rep.error_estimate + ref_tol, model
+        assert sum(counts) <= 0.7 * sum(before for _, _, before in self.PINNED)
+
+    # weak coupling at omega_0 = 1: K before the resonance was split, or None
+    # where that ended in NonConvergence at a machine-width panel
+    HAZARD = {
+        ("exp", 1e-5, 0.1): 1.3427369120012307e-07,
+        ("exp", 1e-5, 1000.0): 1.5814622191556045e-06,
+        ("exp", 1e-6, 0.1): None,
+        ("exp", 1e-6, 1000.0): 1.5814622450495696e-07,
+        ("exp", 1e-7, 0.1): None,
+        ("exp", 1e-7, 1000.0): 1.5814556344351875e-08,
+        ("xdrude1", 1e-5, 0.1): 2.470900307078126e-07,
+        ("xdrude1", 1e-5, 1000.0): 9.40746051759074e-09,
+        ("xdrude1", 1e-6, 0.1): 2.470901089608149e-08,
+        ("xdrude1", 1e-6, 1000.0): 9.407453855266077e-10,
+        ("xdrude1", 1e-7, 0.1): 2.4709011558961845e-09,
+        ("xdrude1", 1e-7, 1000.0): 9.407453224396738e-11,
+    }
+
+    @pytest.mark.parametrize("key", sorted(HAZARD))
+    def test_hazard_grid_keeps_every_earlier_report(self, key):
+        family, gamma_o, cutoff = key
+        model = (Exponential(gamma_o, cutoff) if family == "exp"
+                 else ExtendedDrude(gamma_o, cutoff, 1))
+        before = self.HAZARD[key]
+        try:
+            rep = thermo.thermo_report(model, 1.0, 1.0)
+        except NonConvergence:
+            assert before is None, key
+            return
+        assert rep.K > 0.0
+        if before is not None:
+            assert abs(rep.K - before) <= rep.error_estimate, key
+
+    def test_narrow_peaks_complete(self, monkeypatch):
+        # the half-width is 2.3e-10 at omega_r = 1 + 3.3e-7 for gamma_o = 1e-5:
+        # unsplit it took 43 GK15 calls, and a split set that stops at 64
+        # half-widths ends in NonConvergence at a machine-width panel. At
+        # 1e-6 the unsplit route ended in NonConvergence too; the floor of
+        # the innermost split keeps node rounding out of the starting
+        # panels. K is linear in gamma_o at this coupling.
+        calls = self._count_gk15(monkeypatch)
+        rep = thermo.thermo_report(Exponential(1e-5, 0.1), 1.0, 1.0)
+        assert len(calls) < 43
+        assert abs(rep.K - 1.3427369120012307e-07) <= rep.error_estimate
+        weaker = thermo.thermo_report(Exponential(1e-6, 0.1), 1.0, 1.0)
+        assert abs(weaker.K - 0.1 * rep.K) <= weaker.error_estimate + 0.1 * rep.error_estimate
+
+    @pytest.mark.parametrize("model, omega_0, before", [
+        (Exponential(4.760515262343165e-08, 433.13560323714637), 1.890051004320084,
+         7.4151599243175345e-09),
+        (Exponential(1.0862181150805374e-07, 365.91345591757255), 2.1150634497562537,
+         1.6827192393690677e-08),
+    ])
+    def test_re_g_is_not_rounded_at_the_peak(self, model, omega_0, before):
+        # half-widths near 1e-8 at omega_r near 2: w^2 - w0^2 rounds w^2 to
+        # an ulp, about 1e-8 of the peak's height at its shoulders, and the
+        # summed error estimates level off near tol until the budget runs
+        # out; (w - w0)(w + w0) does not round there
+        rep = thermo.thermo_report(model, 1.0, omega_0)
+        assert abs(rep.K - before) <= rep.error_estimate
+
+    @pytest.mark.parametrize("model, omega_0", [
+        (Exponential(3.861483417879344e-06, 0.10439295960092201), 2.138197068574206),
+        (Exponential(0.0012442122075939112, 0.11944346257137797), 2.8730952821564655),
+    ])
+    def test_unresolvable_peak_is_not_dropped_silently(self, model, omega_0):
+        # half-widths of a few ulps of omega_r: without the split the engine
+        # never sees the peak and reports E_s(0) near 0 (1.5e-9 for the
+        # first) where it is near hbar omega_0 / 2
+        try:
+            rep = thermo.thermo_report(model, 1.0, omega_0)
+        except NonConvergence:
+            return
+        assert rep.E_s0 >= 0.5 * omega_0 - rep.error_estimate
