@@ -11,11 +11,8 @@ extra power (omega/gamma_o)^p, and extended Drude with an extra power
 power, so every dispatch on a family covers them. Odd powers (p odd; n odd
 with n >= 3) have distributional kernels with no usable frequency-domain
 transform and are rejected; p = 2 and even n >= 4 are well defined but
-carry a log-divergent second-law deficit.
-
-Extended Ohmic p = 0 and 2 and Drude are the terms of the partial-fraction
-split x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2); one
-rule builds them and every even extended Drude kernel, q capped at 2.
+carry a delta(0) weight and a log-divergent second-law deficit. One rule
+gives each member's validity and the tail classes of its E_s(0), F(0) and K.
 """
 
 from __future__ import annotations
@@ -137,6 +134,16 @@ class ModelStatus:
         return "Valid"
 
 
+def _power_rule(model: SpectralModel) -> tuple[int, int] | None:
+    """A power family's extra power and its last valid one (0 for extended
+    Ohmic, 2 for extended Drude); None for the exponential family."""
+    if isinstance(model, Exponential):
+        return None
+    if isinstance(model, ExtendedOhmic):
+        return model.p, 0
+    return model.n, 2
+
+
 def classify_model(model: SpectralModel) -> ModelStatus:
     """Physical validity of the damping family.
 
@@ -145,16 +152,14 @@ def classify_model(model: SpectralModel) -> ModelStatus:
     odd power above it produces a non-transformable P(1/t^2)-type kernel; an
     even power above it gives a log-divergent K with negative sign.
     """
-    if isinstance(model, Exponential):
+    rule = _power_rule(model)
+    if rule is None or rule[0] <= rule[1]:
         return ModelStatus(StatusTag.VALID)
-    ohmic = isinstance(model, ExtendedOhmic)
-    power, last = (model.p, 0) if ohmic else (model.n, 2)
-    if power <= last:
-        return ModelStatus(StatusTag.VALID)
+    power, last = rule
     if power % 2 == 1:
         return ModelStatus(StatusTag.INVALID_KERNEL, reason=(
             f"extended Ohmic p={power}: kernel is a P(1/t^2)-type distribution "
-            "with no frequency-domain transform" if ohmic else
+            "with no frequency-domain transform" if last == 0 else
             f"extended Drude n={power}: kernel contains a P(1/t^2) part"))
     return ModelStatus(StatusTag.VALID_BUT_K_DIVERGENT, sign="-")
 
@@ -174,6 +179,31 @@ def _reject_invalid(model: SpectralModel) -> None:
         raise InvalidModel(str(status))
 
 
+def _tail_signs(model: SpectralModel) -> tuple:
+    """The tail classes of a member's E_s(0), F(0) and K, one entry per
+    column: the sign of a logarithmic divergence, 0.0 where the integrand
+    vanishes pointwise, or None where the integral converges.
+
+    They follow from the large-omega law, by the rule of
+    :func:`classify_model`. Raises InvalidModel for a distributional kernel,
+    and UnsupportedKernel for extended Ohmic p >= 4, whose law is not stated.
+    """
+    _reject_invalid(model)
+    rule = _power_rule(model)
+    if rule is None or rule[0] < rule[1]:
+        return None, None, None  # a cutoff: all three converge
+    power, last = rule
+    if power == last:
+        # J ~ M gamma_o w: E_s and F grow like +log w; Ohmic's kernel is constant
+        return ("+", "+", None) if last else ("+", "+", 0.0)
+    if last == 0 and power > 2:
+        raise UnsupportedKernel(
+            f"extended Ohmic p={power}: no tail class is stated for its delta(0) weight")
+    # G ~ i w^3 gamma_o/omega_d^2 beyond omega_d^2/gamma_o (i w^3/gamma_o
+    # beyond gamma_o at p = 2); even n >= 6 take the classes of n = 4
+    return "+", "-", "-"
+
+
 def boundary_kernel(model: SpectralModel) -> Callable:
     """The model's damping kernel at the real axis, resolved once.
 
@@ -182,19 +212,20 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     gives complex scalars, an ndarray complex ndarrays of its shape. The
     closure does not check ``w > 0``. Re gamma_plus = J(w)/(M w); the
     imaginary part is the principal-value transform of J. Exponential and
-    extended Drude n = 1 have closures of their own; every other member is
-    c0 + c2 x^2 + sign g omega_d/(omega_d - i w), x = w/g (Ohmic) or
-    w/omega_d (Drude), with (c0, c2, sign) = (g, 0, 0) at p = 0, (0, g, 0)
-    at p = 2, and (0, 0, +1), (g, 0, -1), (-g, g, +1) at n = 2q,
-    q = min(n // 2, 2). For the delta(0)-carrying members (p = 2, even
-    n >= 4) this is the finite part, the delta(0) weight dropped: enough to
-    classify the divergence, not to integrate it. The cap on q makes even
-    n >= 6 reuse the n = 4 finite part.
+    extended Drude n = 1 have closures of their own; Ohmic is the constant
+    g, and Drude n = 0 and 2 are c0 + sign g omega_d/(omega_d - i w), with
+    (c0, sign) = (0, +1) and (g, -1), the terms of
+    x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2).
 
     Raises InvalidModel for a distributional kernel, and UnsupportedKernel
-    for a divergent member without a finite part (extended Ohmic p >= 4).
+    for the members that carry a delta(0) weight (even extended Ohmic
+    p >= 2, even extended Drude n >= 4): only their tail classes are defined.
     """
-    _reject_invalid(model)
+    status = classify_model(model)
+    if status.tag is StatusTag.INVALID_KERNEL:
+        raise InvalidModel(str(status))
+    if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
+        raise UnsupportedKernel(f"{model!r}: gamma_plus carries a delta(0) weight")
     g = model.gamma_o
     if isinstance(model, Exponential):
         we = model.omega_e
@@ -209,57 +240,39 @@ def boundary_kernel(model: SpectralModel) -> Callable:
 
         return exponential
     if isinstance(model, ExtendedOhmic):
-        if model.p > 2:
-            raise UnsupportedKernel(
-                f"extended Ohmic p={model.p}: no finite-part kernel for the delta(0) weight"
-            )
-        scale = g
-        c0, c2, sign = (g, 0.0, 0) if model.p == 0 else (0.0, g, 0)
-    else:
-        wd = scale = model.omega_d
-        if model.n == 1:
-            gwd = g * wd
-            wd2 = wd * wd
-            c_log = 2.0 / math.pi
 
-            def drude1(w):
-                denom = w * w + wd2
-                u = w / denom
-                du = (wd2 - w * w) / denom ** 2
-                lg = np.log(w / wd)
-                return (gwd * (u + 1j * (c_log * u * lg)),
-                        gwd * (du + 1j * (c_log * (du * lg + u / w))))
+        def ohmic(w):
+            zero = 0j * w  # shapes both values like w
+            return g + zero, zero
 
-            return drude1
-        c0, c2, sign = ((0.0, 0.0, 1), (g, 0.0, -1), (-g, g, 1))[min(model.n // 2, 2)]
-    d2 = 2.0 * c2 / scale
-    sgwd = sign * g * scale
+        return ohmic
+    wd = model.omega_d
+    if model.n == 1:
+        gwd = g * wd
+        wd2 = wd * wd
+        c_log = 2.0 / math.pi
 
-    def kernel(w):
-        zero = 0j * w  # shapes both values like w where a term is absent
-        gp, dgp = c0 + zero, zero
-        if c2:
-            x = w / scale
-            gp = gp + c2 * (x * x)
-            dgp = dgp + d2 * x
-        if sign:
-            c = scale - 1j * w
-            gd = sgwd / c
-            gp = gp + gd
-            dgp = dgp + 1j * gd / c
-        return gp, dgp
+        def drude1(w):
+            denom = w * w + wd2
+            u = w / denom
+            du = (wd2 - w * w) / denom ** 2
+            lg = np.log(w / wd)
+            return (gwd * (u + 1j * (c_log * u * lg)),
+                    gwd * (du + 1j * (c_log * (du * lg + u / w))))
 
-    return kernel
+        return drude1
+    c0, sgwd = (0.0, g * wd) if model.n == 0 else (g, -g * wd)
+
+    def drude(w):
+        c = wd - 1j * w
+        gd = sgwd / c
+        return c0 + gd, 1j * gd / c
+
+    return drude
 
 
 def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:
-    """(gamma_plus, gamma_plus') at one frequency, for members with no
-    delta(0) weight."""
-    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        raise UnsupportedKernel(
-            f"{type(model).__name__}: gamma_plus carries a delta(0) weight; "
-            "only divergence classification is defined"
-        )
+    """(gamma_plus, gamma_plus') at one frequency."""
     gp, dgp = boundary_kernel(model)(_require_positive("omega", omega))
     return complex(gp), complex(dgp)
 

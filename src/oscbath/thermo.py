@@ -4,10 +4,11 @@ The generic route gives the excess energy E_s(0), the coupling free
 energy F(0), and the second-law deficit K for any valid damping family.
 Its four entry points (:func:`system_energy_0_cont`,
 :func:`free_energy_0_cont`, :func:`k_cont` and :func:`thermo_report`) take
-their values from one E_s/F/K triple per model: a member whose K diverges
-gets the tail class of each column; otherwise divergent E_s and F keep
-their class and the rest are integrated as one shared-panel integral.
-:func:`thermo_report` takes the Drude model from its closed form instead.
+their values from one E_s/F/K triple per model. Each column's tail class
+follows from the member's large-omega law, stated once in ``spectral``: a
+divergent column keeps its class, and the rest are integrated as one
+shared-panel integral. :func:`thermo_report` takes the Drude model from its
+closed form instead.
 Closed forms and one-dimensional integrands for the Drude,
 exponential-cutoff, and extended-Drude models compute the tables and serve
 as independent references for K.
@@ -33,22 +34,22 @@ from .quadrature import (
     PANEL_ULPS,
     DivergenceClass,
     DivergenceTag,
-    classify_tail,
     integrate_semi_infinite,
 )
 from .spectral import (
     ExtendedDrude,
-    ExtendedOhmic,
     InvalidModel,
     ModelStatus,
     SpectralModel,
     StatusTag,
     _cutoffs,
     _require_positive,
+    _tail_signs,
     boundary_kernel,
     classify_model,
 )
 # unused here, kept as module attributes: perfbench/tracer.py patches them
+from .quadrature import classify_tail  # noqa: F401
 from .spectral import g_plus, gamma_plus_derivative  # noqa: F401
 
 if TYPE_CHECKING:
@@ -110,12 +111,14 @@ def drude_params_from_physical(
     susceptibility poles, i.e. the roots of a real cubic; Omega is the root
     that continues from omega_d at vanishing coupling.
 
-    For the Drude model that is the largest real root (:func:`_drude_omega`),
-    and Vieta's formulas w0^2 = omega_0^2 omega_d / Omega and
-    gamma = gamma_o omega_d^2 / (Omega omega_d + w0^2) do not cancel, so
-    all three keep full relative accuracy at weak coupling. The ``xdrude2``
-    variant takes its roots from ``np.roots``: with three real roots its
-    Omega is the one nearest omega_d, which need not be the largest.
+    For the Drude model that is the largest real root (:func:`_drude_omega`).
+    The ``xdrude2`` variant takes the real root from ``np.roots`` or, with
+    three real roots, the one nearest omega_d, which need not be the
+    largest. Vieta's formulas and p(Omega) = 0 then give the other two for
+    any root Omega, in forms that do not cancel: w0^2 = omega_0^2 omega_d / Omega
+    for both, and gamma = gamma_o omega_d^2 / (Omega omega_d + w0^2) (Drude)
+    or gamma_o omega_0^2 / (Omega^2 + omega_0^2) (xdrude2). All three keep
+    full relative accuracy at weak coupling.
     """
     if omega_0 <= 0 or omega_d <= 0 or gamma_o <= 0:
         raise ValueError("omega_0, omega_d, gamma_o must be positive")
@@ -124,33 +127,21 @@ def drude_params_from_physical(
             raise ValueError(f"{name} = {value:g} is out of range: its square overflows")
     if variant == "drude":
         Omega = _drude_omega(omega_0, omega_d, gamma_o)
-        w0sq = omega_0 ** 2 * omega_d / Omega
-        if not 0.0 < w0sq < math.inf:
-            raise ValueError("w0^2 of the Drude pole cubic is out of range")
-        gamma = gamma_o * omega_d ** 2 / (Omega * omega_d + w0sq)
-        if not 0.0 < gamma < math.inf:
-            raise ValueError("gamma of the Drude pole cubic is out of range")
     elif variant == "xdrude2":
         roots = np.roots([1.0, -(omega_d + gamma_o), omega_0 ** 2, -omega_0 ** 2 * omega_d])
-        real_mask = np.abs(roots.imag) < 1e-9 * np.abs(roots.real)
-        real_roots = np.sort(roots[real_mask].real)
-        if real_roots.size == 0:
-            raise ArithmeticError("no real root of the pole cubic; cannot happen for positive parameters")
-        if real_roots.size == 1 or roots[~real_mask].size == 2:
-            # one real root: the complex pair is (z1, z2)
-            Omega = float(real_roots[-1])
-            z = roots[~real_mask][0]
-            gamma = float(2.0 * z.real)
-            w0sq = float(abs(z) ** 2)
-        else:
-            # fully overdamped: all roots real; Omega continues from omega_d
-            idx = int(np.argmin(np.abs(real_roots - omega_d)))
-            Omega = float(real_roots[idx])
-            others = np.delete(real_roots, idx)
-            gamma = float(others.sum())
-            w0sq = float(others.prod())
+        real = roots[np.abs(roots.imag) < 1e-9 * np.abs(roots.real)].real
+        Omega = float(real[np.argmin(np.abs(real - omega_d))])
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    w0sq = omega_0 ** 2 * omega_d / Omega
+    if not 0.0 < w0sq < math.inf:
+        raise ValueError("w0^2 of the Drude pole cubic is out of range")
+    if variant == "drude":
+        gamma = gamma_o * omega_d ** 2 / (Omega * omega_d + w0sq)
+    else:
+        gamma = gamma_o * omega_0 ** 2 / (Omega * Omega + omega_0 ** 2)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma of the Drude pole cubic is out of range")
     w0 = math.sqrt(w0sq)
     disc = w0sq - 0.25 * gamma * gamma
     regime = "underdamped" if disc > 0.0 else "overdamped"
@@ -451,8 +442,6 @@ def _integrand(kernel: Callable, omega_0: float, columns: tuple[int, ...]):
     (w0^2 + w^2) Im G / |G|^2, F from w Im(-G'/G), K from
     Im(-i w^2 gamma_plus' / G), each in real arithmetic from the real and
     imaginary parts of gamma_plus and gamma_plus' with one shared 1/|G|^2.
-    For the delta(0)-carrying members the kernel is the finite part, on
-    which only the tail classes are meaningful.
     """
     w0sq = omega_0 * omega_0
 
@@ -542,46 +531,39 @@ def _split_points(kernel: Callable, omega_0: float, cutoffs: list[float]) -> lis
     return points + [top * 2.0 ** k for k in range(1, _DOUBLINGS + 1)]
 
 
-def _k_vanishes(model: SpectralModel) -> bool:
-    # Ohmic damping: the K integrand vanishes pointwise
-    return isinstance(model, ExtendedOhmic) and model.p == 0
-
-
 def _continuous(
     model: SpectralModel, omega_0: float, hbar: float, tol: float, max_evals: int,
 ) -> tuple[list, float]:
     """[E_s(0), F(0), K] of the fused integrand as energies or divergence classes.
 
-    A member whose K diverges gets one tail class per column from one
-    ``classify_tail`` call. Otherwise the E_s and F columns are classified,
-    the divergent ones keep their class, Ohmic's K is exactly zero, and the
-    rest are integrated as one shared-panel integral. Its starting panels
-    split at omega_0, 2 omega_0 and the cutoff, and around the resonance
-    that the model's kernel locates next to omega_0, graded by powers of 4
-    of its half-width (:func:`_split_points`), so that the engine need not
-    bisect its way to the peak one round at a time. Returns the triple and
-    the summed error estimate of its values, both in energy units.
+    Each column's class comes from the member's large-omega law
+    (``spectral._tail_signs``); the convergent columns are integrated as one
+    shared-panel integral, whose starting panels split at omega_0,
+    2 omega_0, the cutoff and the located resonance (:func:`_split_points`).
+    Returns the triple and the summed error estimate of its values, both in
+    energy units. An integrated E_s(0) or F(0) below hbar omega_0/2 by more
+    than that estimate, which no positive J allows, raises ArithmeticError:
+    the integral missed a resonance narrower than it resolves.
     """
-    kernel = boundary_kernel(model)
-    window = (30.0 * max([omega_0, *_cutoffs(model)]), 1e8)
-    if not window[0] < window[1]:
-        raise ValueError("tail classification needs omega_0 and every cutoff below "
-                         "1e8/30 (about 3.33e6)")
-    if classify_model(model).tag is StatusTag.VALID_BUT_K_DIVERGENT:
-        return list(classify_tail(_integrand(kernel, omega_0, (_ES, _F, _K)), window)), 0.0
-    triple = [cls if cls.tag is not DivergenceTag.CONVERGENT else None
-              for cls in classify_tail(_integrand(kernel, omega_0, (_ES, _F)), window)]
-    triple.append(0.0 if _k_vanishes(model) else None)
+    triple = [DivergenceClass(DivergenceTag.LOG_DIVERGENT, v) if isinstance(v, str) else v
+              for v in _tail_signs(model)]
     rest = tuple(c for c, v in enumerate(triple) if v is None)
     if not rest:
         return triple, 0.0
+    kernel = boundary_kernel(model)
     res = integrate_semi_infinite(
         _integrand(kernel, omega_0, rest), tol=tol,
         split_points=_split_points(kernel, omega_0, _cutoffs(model)), max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
+    err = scale * float(res.abs_error_estimate.sum())
+    floor = 0.5 * hbar * omega_0 - err
     for c, v in zip(rest, res.value):
         triple[c] = scale * float(v)
-    return triple, scale * float(res.abs_error_estimate.sum())
+        if c != _K and triple[c] < floor:
+            raise ArithmeticError(
+                f"{('E_s(0)', 'F(0)')[c]} = {triple[c]:.6g} is below hbar omega_0/2 - "
+                f"error_estimate = {floor:.6g}: the integral missed a resonance")
+    return triple, err
 
 
 def _require_system(M: float, omega_0: float) -> None:
@@ -615,8 +597,8 @@ def k_cont(
     """Second-law deficit by the generic frequency integral.
 
     Ohmic returns exactly zero (the integrand vanishes pointwise); the
-    delta-weight families return the divergence class of the integrand on
-    the finite part of their kernel, a negative logarithmic divergence.
+    delta-weight families return their tail class, a negative logarithmic
+    divergence.
     """
     _require_system(M, omega_0)
     return _continuous(model, omega_0, hbar, tol, max_evals)[0][_K]
@@ -633,9 +615,11 @@ def thermo_report(
     integrals behind the reported numbers, in energy units; 0 for closed
     forms and divergence classes. Each integral gets ``tol`` and
     ``max_evals``. Raises InvalidModel for a distributional kernel,
-    ValueError when ``M`` or ``omega_0`` is not positive and finite or a
-    Drude parameter or the tail window is out of range, and NonConvergence
-    when an integral misses ``tol`` within its budget.
+    UnsupportedKernel for extended Ohmic p >= 4, ValueError when ``M`` or
+    ``omega_0`` is not positive and finite or a Drude parameter is out of
+    range, NonConvergence when an integral misses ``tol`` within its
+    budget, and ArithmeticError when an integrated E_s(0) or F(0) falls
+    below hbar omega_0/2 (see :func:`_continuous`).
     """
     _require_system(M, omega_0)
     status = classify_model(model)

@@ -8,9 +8,10 @@ shares none of their algebra. The spectral density J(w) itself, their input,
 and dG_+/dw, the analytic side of finite-difference checks, live here too,
 as do the integrands of the two lambda forms of K and of the fused
 E_s/F/K route written as complex quotients, the references for their
-real-arithmetic forms, and the Drude closed form of K evaluated at 50
-digits, the reference for its rounding at weak coupling. None of them is in
-``oscbath``, because no program path runs them.
+real-arithmetic forms, the Drude closed form of K evaluated at 50
+digits, the reference for its rounding at weak coupling, and the finite-part
+kernels of the delta(0)-carrying members, the reference for their tail
+classes. None of them is in ``oscbath``, because no program path runs them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from oscbath.spectral import (
     Exponential,
     ExtendedOhmic,
     SpectralModel,
+    StatusTag,
+    classify_model,
     _cutoffs,
     _kernel_at,
     _reject_invalid,
@@ -59,6 +62,43 @@ def g_plus_derivative(
     """dG_+/dw = 2w + i gamma_plus + i w gamma_plus'."""
     gp, dgp = _kernel_at(model, omega)
     return 2.0 * omega + 1j * gp + 1j * omega * dgp
+
+
+def finite_part_kernel(model: SpectralModel) -> Callable:
+    """``w -> (gamma_plus(w), gamma_plus'(w))`` of a delta(0)-carrying member
+    (extended Ohmic p = 2, even extended Drude n >= 4) with the delta(0)
+    weight dropped, elementwise as ``spectral.boundary_kernel``.
+
+    p = 2 is g x^2 with x = w/g. Even n = 2q is -g + g x^2 +
+    g omega_d/(omega_d - i w) with x = w/omega_d, the partial-fraction split
+    x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2) at
+    q = 2, so n >= 6 reuse the n = 4 finite part. Re gamma_plus is still
+    J(w)/(M w), and the large-w law of these kernels is what the tail
+    classes of ``spectral._tail_signs`` state.
+    """
+    if classify_model(model).tag is not StatusTag.VALID_BUT_K_DIVERGENT:
+        raise ValueError(f"{model!r} carries no delta(0) weight")
+    g = model.gamma_o
+    if isinstance(model, ExtendedOhmic):
+        if model.p != 2:
+            raise ValueError(f"no finite-part kernel for extended Ohmic p={model.p}")
+
+        def ohmic2(w):
+            zero = 0j * w
+            x = w / g
+            return zero + g * (x * x), zero + 2.0 * x
+
+        return ohmic2
+    wd = model.omega_d
+    d2 = 2.0 * g / wd
+
+    def drude4(w):
+        x = w / wd
+        c = wd - 1j * w
+        gd = g * wd / c
+        return -g + g * (x * x) + gd, d2 * x + 1j * gd / c
+
+    return drude4
 
 
 class SingularityMisdeclared(ValueError):

@@ -379,7 +379,8 @@ class TestBadValues:
         *(["discrete", name] for name in BAD_BATHS if name != "DEGENERATE_BATH"),
         ["report", "--model", "drude g=1 wd=5 wd=7", "--omega0", "1"],
         ["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"],
-        ["report", "--model", "exp g=1 we=4e6", "--omega0", "1"],
+        # defect 15: a resonance narrower than a float, E_s(0) far below hbar omega_0/2
+        ["report", "--model", "exp g=7.4 we=0.074", "--omega0", "4.5"],
         # E_s(0) and F(0) are 5e99; K = F - E_s is lost in their rounding
         ["report", "--model", "drude g=1 wd=1e100", "--omega0", "1e100"],
     ])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import g_plus_derivative, gamma_plus_generic, j_omega
+from oracles import finite_part_kernel, g_plus_derivative, gamma_plus_generic, j_omega
 from oscbath.spectral import (
     Drude,
     Exponential,
@@ -18,6 +18,7 @@ from oscbath.spectral import (
     Ohmic,
     StatusTag,
     UnsupportedKernel,
+    _tail_signs,
     boundary_kernel,
     classify_model,
     g_plus,
@@ -118,16 +119,18 @@ class TestGammaPlus:
                 assert ana.imag == pytest.approx(num.imag, abs=1e-6)
 
 
-KERNEL_MODELS = [Ohmic(1.3), ExtendedOhmic(1.3, 2), Drude(1.3, 4.0), Exponential(1.3, 4.0),
-                 *(ExtendedDrude(1.3, 4.0, n) for n in (1, 2, 4, 6))]
+KERNEL_MODELS = [Ohmic(1.3), Drude(1.3, 4.0), Exponential(1.3, 4.0),
+                 *(ExtendedDrude(1.3, 4.0, n) for n in (1, 2))]
+# the delta(0)-carrying members: their finite parts are test oracles
+FINITE_PART_MODELS = [ExtendedOhmic(1.3, 2), *(ExtendedDrude(1.3, 4.0, n) for n in (4, 6))]
 
 
 class TestBoundaryKernel:
-    @pytest.mark.parametrize("model", KERNEL_MODELS, ids=repr)
+    @pytest.mark.parametrize("model", KERNEL_MODELS + FINITE_PART_MODELS, ids=repr)
     def test_shapes_and_types(self, model):
         # an ndarray gives two complex ndarrays of its shape, also where the
         # derivative is identically 0; a float gives two complex scalars
-        kernel = boundary_kernel(model)
+        kernel = (finite_part_kernel if model in FINITE_PART_MODELS else boundary_kernel)(model)
         w = np.array([1e-3, 0.7, 7.5, 1e4])
         for value in kernel(w):
             assert isinstance(value, np.ndarray)
@@ -142,22 +145,27 @@ class TestBoundaryKernel:
         c = wd - 1j * w
         d = g * wd / c
         cases = [
-            (Ohmic(g), np.full(w.shape, g + 0j), np.zeros(w.shape, complex)),
-            (ExtendedOhmic(g, 2), g * (w / g) ** 2 + 0j, 2.0 * (w / g) + 0j),
-            (Drude(g, wd), d, 1j * d / c),
-            (ExtendedDrude(g, wd, 2), g - d, -1j * d / c),
+            (boundary_kernel(Ohmic(g)), np.full(w.shape, g + 0j), np.zeros(w.shape, complex)),
+            (finite_part_kernel(ExtendedOhmic(g, 2)), g * (w / g) ** 2 + 0j, 2.0 * (w / g) + 0j),
+            (boundary_kernel(Drude(g, wd)), d, 1j * d / c),
+            (boundary_kernel(ExtendedDrude(g, wd, 2)), g - d, -1j * d / c),
         ]
-        for model, gp, dgp in cases:
-            got_gp, got_dgp = boundary_kernel(model)(w)
+        for kernel, gp, dgp in cases:
+            got_gp, got_dgp = kernel(w)
             np.testing.assert_array_equal(got_gp, gp)
             np.testing.assert_array_equal(got_dgp, dgp)
 
     def test_finite_part_of_divergent_members(self):
-        # the delta(0) weight is dropped: the real part is still J/(M w),
-        # and gamma_plus' is the derivative of gamma_plus
+        # the program builds no kernel for them
+        for m in FINITE_PART_MODELS:
+            with pytest.raises(UnsupportedKernel, match="delta"):
+                boundary_kernel(m)
+        # the oracle drops the delta(0) weight: the real part is still
+        # J/(M w), and gamma_plus' is the derivative of gamma_plus (n >= 6
+        # reuse the n = 4 finite part, whose real part is that of n = 4)
         h = 1e-6
         for m in (ExtendedOhmic(1.3, 2), ExtendedDrude(1.3, 2.0, 4)):
-            kernel = boundary_kernel(m)
+            kernel = finite_part_kernel(m)
             for w in (0.1, 0.5, 1.5, 6.0):
                 gp, dgp = kernel(w)
                 assert gp.real == pytest.approx(j_omega(m, 1.5, w) / (1.5 * w), rel=1e-12)
@@ -243,6 +251,31 @@ class TestClassification:
     def test_divergent_sign(self):
         assert classify_model(ExtendedOhmic(1.0, 2)).sign == "-"
         assert classify_model(ExtendedDrude(1.0, 1.0, 4)).sign == "-"
+
+    def test_tail_classes_of_every_member(self):
+        # E_s(0), F(0), K by the large-omega law; tests/test_thermo.py checks
+        # the rows against panel ratios of the integrands
+        converge, linear, cubic = (None, None, None), ("+", "+", None), ("+", "-", "-")
+        cases = [
+            (Exponential(1.0, 1.0), converge),
+            (Drude(1.0, 1.0), converge),
+            (ExtendedDrude(1.0, 1.0, 1), converge),
+            (Ohmic(1.0), ("+", "+", 0.0)),
+            (ExtendedOhmic(1.0, 0), ("+", "+", 0.0)),
+            (ExtendedDrude(1.0, 1.0, 2), linear),
+            (ExtendedOhmic(1.0, 2), cubic),
+            (ExtendedDrude(1.0, 1.0, 4), cubic),
+            (ExtendedDrude(1.0, 1.0, 6), cubic),
+            (ExtendedDrude(1.0, 1.0, 8), cubic),
+        ]
+        for model, row in cases:
+            assert _tail_signs(model) == row, model
+        for model in (ExtendedOhmic(1.0, 1), ExtendedDrude(1.0, 1.0, 3)):
+            with pytest.raises(InvalidModel):
+                _tail_signs(model)
+        for p in (4, 6):
+            with pytest.raises(UnsupportedKernel, match=f"p={p}"):
+                _tail_signs(ExtendedOhmic(1.0, p))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 import goldens
 from oracles import (
+    finite_part_kernel,
     fused_integrand,
     g_plus_derivative,
     k_drude_closed_mp,
     k_exponential_integrand,
     k_extended_drude1_integrand,
 )
-from oscbath.quadrature import DivergenceClass, DivergenceTag, Inconclusive, NonConvergence
+from oscbath.quadrature import DivergenceClass, DivergenceTag, NonConvergence, classify_tail
 from oscbath.spectral import (
     Drude,
     Exponential,
@@ -26,6 +27,7 @@ from oscbath.spectral import (
     ExtendedOhmic,
     InvalidModel,
     Ohmic,
+    _tail_signs,
     boundary_kernel,
     g_plus,
 )
@@ -46,6 +48,14 @@ class TestParameterMaps:
             back = thermo.drude_params_to_physical(p, variant="xdrude2")
             for got, want in zip(back, args):
                 assert got == pytest.approx(want, rel=1e-11)
+
+    def test_xdrude2_weak_gamma_keeps_its_digits(self):
+        # gamma = 1e-14 next to Omega = 1e7: np.roots gave it 1.2e-6 off, and
+        # K 1.6e-7 off the 60-digit closed form -0.159154910134202175619
+        p = thermo.drude_params_from_physical(1.0, 1e7, 1.0, variant="xdrude2")
+        assert p.gamma == pytest.approx(9.9999980000002e-15, rel=1e-15)
+        k = thermo.k_extended_drude2_closed(p.w0, p.Omega, p.gamma)
+        assert abs(k - -0.159154910134202175619) < 1e-10
 
     def test_decoupling_limit(self):
         p = thermo.drude_params_from_physical(1.0, 1.0, 1e-9)
@@ -331,15 +341,17 @@ class TestRealArithmeticIntegrands:
         ld = (self.CUTOFFS / gamma_o)[None, :]
         self._assert_close(f(self.LAM), k_extended_drude1_integrand(l0, ld, self.LAM))
 
-    MEMBERS = [Ohmic(1.0), ExtendedOhmic(1.0, 2), Drude(1.0, 5.0), Exponential(1.0, 5.0),
-               *(ExtendedDrude(1.0, 5.0, n) for n in (1, 2, 4, 6))]
+    MEMBERS = [Ohmic(1.0), Drude(1.0, 5.0), Exponential(1.0, 5.0),
+               *(ExtendedDrude(1.0, 5.0, n) for n in (1, 2))]
+    # the delta(0)-carrying members, on the finite parts of the test oracles
+    FINITE_PART_MEMBERS = [ExtendedOhmic(1.0, 2), *(ExtendedDrude(1.0, 5.0, n) for n in (4, 6))]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("model", MEMBERS, ids=repr)
+    @pytest.mark.parametrize("model", MEMBERS + FINITE_PART_MEMBERS, ids=repr)
     def test_fused_integrand_matches_the_complex_quotients(self, model):
         # E_s, F and K of the report's one integral, every family's kernel
         w = np.geomspace(1e-6, 1e12, 400)
-        kernel = boundary_kernel(model)
+        kernel = (finite_part_kernel if model in self.FINITE_PART_MEMBERS else boundary_kernel)(model)
         for omega_0 in (0.3, 1.0, 7.0):
             ref = fused_integrand(kernel, omega_0, w)
             got = thermo._integrand(kernel, omega_0, (0, 1, 2))(w)
@@ -508,6 +520,85 @@ class TestDivergentFamilies:
             thermo.thermo_report(ExtendedDrude(1.0, 1.0, 3), 1.0, 1.0)
 
 
+class TestTailClasses:
+    """The tail classes that ``spectral`` states for each member, against the
+    panel ratios of ``classify_tail`` on the fused integrand over
+    [1e3, 1e6] w*, where w* is past omega_0, the cutoff and the crossover
+    beyond which the member's large-omega law holds."""
+
+    # defect 14's ranges: gamma_o, the cutoff and omega_0, log-uniform
+    RANGES = ((1e-8, 1e2), (0.1, 1e4), (0.1, 10.0))
+
+    @classmethod
+    def _draws(cls, count: int, seed: int = 4):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.log10(cls.RANGES).T
+        return (10.0 ** rng.uniform(lo, hi, (count, 3))).tolist()
+
+    @staticmethod
+    def _measured(kernel, omega_0: float, start: float, scale: float = 1.0) -> tuple:
+        """The classes of the E_s, F and K columns over [1e3, 1e6] ``start``,
+        as ``_tail_signs`` writes them (None for a convergent column). The
+        integrand is divided by ``scale`` so that the panel integrals, and
+        with them ``classify_tail``'s absolute tolerance, are of order 1."""
+        f = thermo._integrand(kernel, omega_0, (0, 1, 2))
+        classes = classify_tail(lambda w: f(w) / scale, (1e3 * start, 1e6 * start))
+        return tuple(None if c.tag is DivergenceTag.CONVERGENT else
+                     c.sign_of_tail if c.tag is DivergenceTag.LOG_DIVERGENT else str(c)
+                     for c in classes)
+
+    def test_delta_weight_members_on_the_finite_part(self):
+        # G ~ i w^3 gamma_o/omega_d^2 beyond w* = omega_d^2/gamma_o (n >= 4;
+        # the n = 4 finite part) or i w^3/gamma_o beyond gamma_o (p = 2); the
+        # E_s tail is then w*/w, F's -w*/w and K's -2 w*/w
+        draws = [*self._draws(300), (0.192, 3920.0, 1.78)]  # the defect-14 reproducer
+        # the old window ended at 1e8: draws beyond it came out PowerDivergent
+        assert sum(omega_d ** 2 / gamma_o >= 1e8 for gamma_o, omega_d, _ in draws) > 100
+        for gamma_o, omega_d, omega_0 in draws:
+            for model in (ExtendedOhmic(gamma_o, 2),
+                          *(ExtendedDrude(gamma_o, omega_d, n) for n in (4, 6))):
+                if isinstance(model, ExtendedOhmic):
+                    star, cutoff = gamma_o, 0.0
+                else:
+                    star, cutoff = omega_d ** 2 / gamma_o, omega_d
+                got = self._measured(finite_part_kernel(model), omega_0,
+                                     max(star, cutoff, omega_0), star)
+                assert got == _tail_signs(model) == ("+", "-", "-"), (model, omega_0)
+
+    @pytest.mark.parametrize("member", ["ohmic", "exp", 0, 1, 2])
+    def test_members_with_a_cutoff_or_a_linear_law(self, member):
+        for gamma_o, cutoff, omega_0 in self._draws(300):
+            model = (Ohmic(gamma_o) if member == "ohmic" else Exponential(gamma_o, cutoff)
+                     if member == "exp" else ExtendedDrude(gamma_o, cutoff, member))
+            kernel = boundary_kernel(model)
+            got = self._measured(kernel, omega_0, max(omega_0, cutoff, gamma_o))
+            want = _tail_signs(model)
+            assert got == tuple(None if v == 0.0 else v for v in want), (model, omega_0)
+        if member == "ohmic":
+            # Ohmic's K = 0.0: its integrand vanishes pointwise
+            w = np.geomspace(1e-3, 1e9, 50)
+            assert not thermo._integrand(kernel, omega_0, (2,))(w).any()
+
+    def test_no_report_classifies_numerically(self, monkeypatch):
+        from oscbath import quadrature
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(quadrature, "classify_tail", forbidden)
+        monkeypatch.setattr(thermo, "classify_tail", forbidden)
+        for model in (Exponential(1.0, 5.0), Drude(1.0, 5.0), Ohmic(1.0),
+                      *(ExtendedDrude(1.0, 5.0, n) for n in (1, 2))):
+            thermo.thermo_report(model, 1.0, 1.0)
+            thermo.k_cont(model, 1.0, 1.0)
+        # members with nothing to integrate build no kernel either
+        monkeypatch.setattr(thermo, "boundary_kernel", forbidden)
+        for model in (Ohmic(1.0), ExtendedOhmic(1.0, 2),
+                      *(ExtendedDrude(1.0, 5.0, n) for n in (4, 6))):
+            rep = thermo.thermo_report(model, 1.0, 1.0)
+            assert rep.error_estimate == 0.0 and isinstance(rep.E_s0, DivergenceClass)
+
+
 class TestDecoupledLimits:
     def test_drude_weak_coupling(self):
         rep = thermo.thermo_report(Drude(1e-7, 1.0), 1.0, 1.0)
@@ -645,18 +736,31 @@ class TestThermoReport:
                 "LogDivergent(+)", "LogDivergent(-)", "LogDivergent(-)"], model
             assert rep.K_normalized is None
 
-    @pytest.mark.xfail(strict=True, raises=Inconclusive, reason=(
-        "defect 14 (ROADMAP): the classification window ends at a fixed 1e8; "
-        "these panel ratios settle only on a window that ends near 1.18e10"))
     def test_short_window_classifies_n4(self):
+        # defect 14: the crossover omega_d^2/gamma_o = 8.0e7 sat inside the
+        # old fixed window, whose panel ratios did not settle
         rep = thermo.thermo_report(ExtendedDrude(0.192, 3920.0, 4), 1.0, 1.78)
         assert str(rep.K) == "LogDivergent(-)"
 
-    def test_window_beyond_its_fixed_end_is_rejected(self):
-        for model, omega_0 in [(Exponential(1.0, 4e6), 1.0), (ExtendedDrude(1.0, 1e7, 2), 1.0),
-                               (Ohmic(1.0), 4e6)]:
-            with pytest.raises(ValueError, match="1e8/30"):
-                thermo.thermo_report(model, 1.0, omega_0)
+    def test_cutoffs_beyond_the_old_window_report(self):
+        # defect 14: omega_0 or a cutoff above 1e8/30 was rejected
+        rep = thermo.thermo_report(Exponential(1.0, 4e6), 1.0, 1.0)
+        assert abs(rep.K - thermo.k_exponential(1.0, 4e6, 1.0)) < 1e-9
+        rep = thermo.thermo_report(ExtendedDrude(1.0, 1e7, 2), 1.0, 1.0)
+        assert [str(rep.E_s0), str(rep.F0)] == ["LogDivergent(+)", "LogDivergent(+)"]
+        # the 60-digit closed form
+        assert abs(rep.K - -0.159154910134202) < 1e-9
+        rep = thermo.thermo_report(Ohmic(1.0), 1.0, 4e6)
+        assert [str(rep.E_s0), str(rep.F0)] == ["LogDivergent(+)", "LogDivergent(+)"]
+        assert rep.K == 0.0
+
+    def test_energy_below_half_a_quantum_is_an_error(self):
+        # defect 15: the resonance's half-width is near 8.5e-27 and the
+        # integral never sees it; E_s(0) came out as 3.11e-4, and K negative,
+        # where E_s(0) >= hbar omega_0/2 = 2.25 for every positive J
+        for entry in (thermo.thermo_report, thermo.k_cont):
+            with pytest.raises(ArithmeticError, match=r"E_s\(0\) = 0.000311.* below hbar omega_0/2"):
+                entry(Exponential(7.4, 0.074), 1.0, 4.5)
 
     def test_error_estimate_is_measured(self):
         # the summed error estimates of the integrals behind the numbers,
