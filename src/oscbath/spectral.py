@@ -134,49 +134,37 @@ class ModelStatus:
         return "Valid"
 
 
-def _power_rule(model: SpectralModel) -> tuple[int, int] | None:
-    """A power family's extra power and its last valid one (0 for extended
-    Ohmic, 2 for extended Drude); None for the exponential family."""
+def _law(model: SpectralModel) -> tuple[float, float, list[float]]:
+    """A member's large-omega law: its extra power, the last valid power of
+    its family (0 for extended Ohmic, 2 for extended Drude, none for the
+    exponential cutoff, whose every power would converge) and its cutoffs.
+
+    The one dispatch on the family; every rule below reads it.
+    """
     if isinstance(model, Exponential):
-        return None
+        return 0, math.inf, [model.omega_e]
     if isinstance(model, ExtendedOhmic):
-        return model.p, 0
-    return model.n, 2
+        return model.p, 0, []
+    return model.n, 2, [model.omega_d]
 
 
 def classify_model(model: SpectralModel) -> ModelStatus:
     """Physical validity of the damping family.
 
-    One rule for the two power families: a power at or below the family's
-    last valid one (0 for extended Ohmic, 2 for extended Drude) is valid; an
-    odd power above it produces a non-transformable P(1/t^2)-type kernel; an
-    even power above it gives a log-divergent K with negative sign.
+    One rule for every member (:func:`_law`): a power at or below the
+    family's last valid one is valid; an odd power above it produces a
+    non-transformable P(1/t^2)-type kernel; an even power above it gives a
+    log-divergent K with negative sign.
     """
-    rule = _power_rule(model)
-    if rule is None or rule[0] <= rule[1]:
+    power, last, _ = _law(model)
+    if power <= last:
         return ModelStatus(StatusTag.VALID)
-    power, last = rule
     if power % 2 == 1:
         return ModelStatus(StatusTag.INVALID_KERNEL, reason=(
             f"extended Ohmic p={power}: kernel is a P(1/t^2)-type distribution "
             "with no frequency-domain transform" if last == 0 else
             f"extended Drude n={power}: kernel contains a P(1/t^2) part"))
     return ModelStatus(StatusTag.VALID_BUT_K_DIVERGENT, sign="-")
-
-
-def _cutoffs(model: SpectralModel) -> list[float]:
-    """The model's cutoff frequency, if it has one."""
-    if isinstance(model, ExtendedDrude):
-        return [model.omega_d]
-    if isinstance(model, Exponential):
-        return [model.omega_e]
-    return []
-
-
-def _reject_invalid(model: SpectralModel) -> None:
-    status = classify_model(model)
-    if status.tag is StatusTag.INVALID_KERNEL:
-        raise InvalidModel(str(status))
 
 
 def _tail_signs(model: SpectralModel) -> tuple:
@@ -188,14 +176,14 @@ def _tail_signs(model: SpectralModel) -> tuple:
     :func:`classify_model`. Raises InvalidModel for a distributional kernel,
     and UnsupportedKernel for extended Ohmic p >= 4, whose law is not stated.
     """
-    _reject_invalid(model)
-    rule = _power_rule(model)
-    if rule is None or rule[0] < rule[1]:
+    power, last, _ = _law(model)
+    if power < last:
         return None, None, None  # a cutoff: all three converge
-    power, last = rule
     if power == last:
         # J ~ M gamma_o w: E_s and F grow like +log w; Ohmic's kernel is constant
         return ("+", "+", None) if last else ("+", "+", 0.0)
+    if power % 2 == 1:
+        raise InvalidModel(str(classify_model(model)))
     if last == 0 and power > 2:
         raise UnsupportedKernel(
             f"extended Ohmic p={power}: no tail class is stated for its delta(0) weight")
@@ -207,28 +195,29 @@ def _tail_signs(model: SpectralModel) -> tuple:
 def boundary_kernel(model: SpectralModel) -> Callable:
     """The model's damping kernel at the real axis, resolved once.
 
-    Checks validity and dispatches on the family once, and returns a closure
+    Reads the member's law (:func:`_law`) once, and returns a closure
     ``w -> (gamma_plus(w), gamma_plus'(w))``, elementwise: a float ``w``
     gives complex scalars, an ndarray complex ndarrays of its shape. The
     closure does not check ``w > 0``. Re gamma_plus = J(w)/(M w); the
     imaginary part is the principal-value transform of J. Exponential and
-    extended Drude n = 1 have closures of their own; Ohmic is the constant
-    g, and Drude n = 0 and 2 are c0 + sign g omega_d/(omega_d - i w), with
-    (c0, sign) = (0, +1) and (g, -1), the terms of
-    x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2).
+    extended Drude n = 1 have closures of their own; the rest are
+    c0 + sign g omega_d/(omega_d - i w), with (c0, sign) = (0, +1) for
+    Drude n = 0, (g, -1) for n = 2, the terms of
+    x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2), and
+    (g, 0) for Ohmic, the constant g.
 
     Raises InvalidModel for a distributional kernel, and UnsupportedKernel
     for the members that carry a delta(0) weight (even extended Ohmic
     p >= 2, even extended Drude n >= 4): only their tail classes are defined.
     """
-    status = classify_model(model)
-    if status.tag is StatusTag.INVALID_KERNEL:
-        raise InvalidModel(str(status))
-    if status.tag is StatusTag.VALID_BUT_K_DIVERGENT:
+    power, last, cutoffs = _law(model)
+    if power > last:
+        if power % 2 == 1:
+            raise InvalidModel(str(classify_model(model)))
         raise UnsupportedKernel(f"{model!r}: gamma_plus carries a delta(0) weight")
     g = model.gamma_o
-    if isinstance(model, Exponential):
-        we = model.omega_e
+    if last == math.inf:
+        we = cutoffs[0]
         gpi = g / math.pi
 
         def exponential(w):
@@ -239,15 +228,9 @@ def boundary_kernel(model: SpectralModel) -> Callable:
             return re + 1j * (gpi * (e1s + eis)), (1j * (gpi * (e1s - eis)) - re) / we
 
         return exponential
-    if isinstance(model, ExtendedOhmic):
-
-        def ohmic(w):
-            zero = 0j * w  # shapes both values like w
-            return g + zero, zero
-
-        return ohmic
-    wd = model.omega_d
-    if model.n == 1:
+    # Ohmic has no cutoff; its row's sign is 0, so omega_d is immaterial
+    wd = cutoffs[0] if cutoffs else 1.0
+    if power == 1:
         gwd = g * wd
         wd2 = wd * wd
         c_log = 2.0 / math.pi
@@ -261,7 +244,8 @@ def boundary_kernel(model: SpectralModel) -> Callable:
                     gwd * (du + 1j * (c_log * (du * lg + u / w))))
 
         return drude1
-    c0, sgwd = (0.0, g * wd) if model.n == 0 else (g, -g * wd)
+    c0, sign = (g, 0.0) if not cutoffs else (0.0, 1.0) if power == 0 else (g, -1.0)
+    sgwd = sign * g * wd
 
     def drude(w):
         c = wd - 1j * w

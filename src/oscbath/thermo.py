@@ -38,11 +38,9 @@ from .quadrature import (
 )
 from .spectral import (
     ExtendedDrude,
-    InvalidModel,
     ModelStatus,
     SpectralModel,
-    StatusTag,
-    _cutoffs,
+    _law,
     _require_positive,
     _tail_signs,
     boundary_kernel,
@@ -533,7 +531,7 @@ def _split_points(kernel: Callable, omega_0: float, cutoffs: list[float]) -> lis
 
 def _continuous(
     model: SpectralModel, omega_0: float, hbar: float, tol: float, max_evals: int,
-) -> tuple[list, float]:
+) -> tuple[list, float, str]:
     """[E_s(0), F(0), K] of the fused integrand as energies or divergence classes.
 
     Each column's class comes from the member's large-omega law
@@ -541,19 +539,21 @@ def _continuous(
     shared-panel integral, whose starting panels split at omega_0,
     2 omega_0, the cutoff and the located resonance (:func:`_split_points`).
     Returns the triple and the summed error estimate of its values, both in
-    energy units. An integrated E_s(0) or F(0) below hbar omega_0/2 by more
-    than that estimate, which no positive J allows, raises ArithmeticError:
-    the integral missed a resonance narrower than it resolves.
+    energy units, and the method that ran: "divergence-classification"
+    where no column is integrated, else "generic-quadrature". An
+    integrated E_s(0) or F(0) below hbar omega_0/2 by more than that
+    estimate, which no positive J allows, raises ArithmeticError: the
+    integral missed a resonance narrower than it resolves.
     """
     triple = [DivergenceClass(DivergenceTag.LOG_DIVERGENT, v) if isinstance(v, str) else v
               for v in _tail_signs(model)]
     rest = tuple(c for c, v in enumerate(triple) if v is None)
     if not rest:
-        return triple, 0.0
+        return triple, 0.0, "divergence-classification"
     kernel = boundary_kernel(model)
     res = integrate_semi_infinite(
         _integrand(kernel, omega_0, rest), tol=tol,
-        split_points=_split_points(kernel, omega_0, _cutoffs(model)), max_evals=max_evals)
+        split_points=_split_points(kernel, omega_0, _law(model)[2]), max_evals=max_evals)
     scale = hbar / (2.0 * math.pi)
     err = scale * float(res.abs_error_estimate.sum())
     floor = 0.5 * hbar * omega_0 - err
@@ -563,7 +563,7 @@ def _continuous(
             raise ArithmeticError(
                 f"{('E_s(0)', 'F(0)')[c]} = {triple[c]:.6g} is below hbar omega_0/2 - "
                 f"error_estimate = {floor:.6g}: the integral missed a resonance")
-    return triple, err
+    return triple, err, "generic-quadrature"
 
 
 def _require_system(M: float, omega_0: float) -> None:
@@ -609,7 +609,10 @@ def thermo_report(
     hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
 ) -> ThermoReport:
     """Full report: E_s(0), F(0), K from the Drude closed form, from one
-    generic integral, or as divergence classes.
+    generic integral, or as divergence classes, with ``method`` naming
+    which ran: "closed-form", "generic-quadrature" when an integral ran,
+    or "divergence-classification" when the tail classes alone gave the
+    triple (Ohmic, and the members whose K diverges).
 
     ``error_estimate`` is the summed absolute error estimate of the
     integrals behind the reported numbers, in energy units; 0 for closed
@@ -622,22 +625,15 @@ def thermo_report(
     below hbar omega_0/2 (see :func:`_continuous`).
     """
     _require_system(M, omega_0)
-    status = classify_model(model)
-    if status.tag is StatusTag.INVALID_KERNEL:
-        raise InvalidModel(str(status))
-    err = 0.0
     if isinstance(model, ExtendedDrude) and model.n == 0:
         es, f0 = _drude_es_f(omega_0, model.omega_d, model.gamma_o, hbar)
-        k = f0 - es
-        method = "closed-form"
+        k, err, method = f0 - es, 0.0, "closed-form"
     else:
-        (es, f0, k), err = _continuous(model, omega_0, hbar, tol, max_evals)
-        method = ("divergence-classification"
-                  if status.tag is StatusTag.VALID_BUT_K_DIVERGENT else "generic-quadrature")
+        (es, f0, k), err, method = _continuous(model, omega_0, hbar, tol, max_evals)
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None
     return ThermoReport(
         E_s0=es, F0=f0, K=k, method=method,
-        error_estimate=err, model_status=status, K_normalized=k_norm,
+        error_estimate=err, model_status=classify_model(model), K_normalized=k_norm,
     )
 
 

@@ -9,9 +9,11 @@ and dG_+/dw, the analytic side of finite-difference checks, live here too,
 as do the integrands of the two lambda forms of K and of the fused
 E_s/F/K route written as complex quotients, the references for their
 real-arithmetic forms, the Drude closed form of K evaluated at 50
-digits, the reference for its rounding at weak coupling, and the finite-part
-kernels of the delta(0)-carrying members, the reference for their tail
-classes. None of them is in ``oscbath``, because no program path runs them.
+digits, the reference for its rounding at weak coupling, K of a finite bath
+from a 50-digit eigensolve, the reference for the discrete K at weak
+coupling, and the finite-part kernels of the delta(0)-carrying members, the
+reference for their tail classes. None of them is in ``oscbath``, because
+no program path runs them.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from oscbath.quadrature import (
 from oscbath.spectral import (
     Exponential,
     ExtendedOhmic,
+    InvalidModel,
     SpectralModel,
     StatusTag,
     classify_model,
-    _cutoffs,
     _kernel_at,
-    _reject_invalid,
+    _law,
     _require_positive,
 )
 from oscbath.specfun import exp_e1_ei
@@ -45,7 +47,9 @@ from oscbath.specfun import exp_e1_ei
 
 def j_omega(model: SpectralModel, M: float, omega: float) -> float:
     """Spectral density J(w) for w > 0."""
-    _reject_invalid(model)
+    status = classify_model(model)
+    if status.tag is StatusTag.INVALID_KERNEL:
+        raise InvalidModel(str(status))
     w = _require_positive("omega", omega)
     g = model.gamma_o
     if isinstance(model, Exponential):
@@ -166,7 +170,6 @@ def gamma_plus_generic(
     Independent route used to cross-check the closed forms; only defined when
     the PV integral over J(w')/w' converges.
     """
-    _reject_invalid(model)
     w = _require_positive("omega", omega)
     re = j_omega(model, M, w) / (M * w)
 
@@ -175,7 +178,7 @@ def gamma_plus_generic(
         jw = np.array([j_omega(model, M, x) for x in wp.tolist()])
         return (jw / wp) * (1.0 / (wp + w) - 1.0 / (wp - w)) / math.pi
 
-    splits = [w / 2, 2 * w, *_cutoffs(model)]
+    splits = [w / 2, 2 * w, *_law(model)[2]]
     res = principal_value_integral(integrand, w, tol=tol, split_points=splits)
     return complex(re, res.value / M)
 
@@ -247,3 +250,26 @@ def k_drude_closed_mp(omega_0: float, omega_d: float, gamma_o: float, dps: int =
         i2 = ((w0sq ** 2 + w0sq * om ** 2 - om ** 2 * g * g / 2) * t + om ** 2 * g * lg) / den
         f = (om + g) * mp.log((om + g) / om) + g * lg + 2 * d * t
         return (f - (w0_ ** 2 * i0 + i2)) / (2 * mp.pi)
+
+
+def k_discrete_mp(bath, dps: int = 50):
+    """K = F(0) - E_s(0) of a finite bath at hbar = 1 from a ``dps``-digit
+    eigensolve (``mpmath.eigsy``) of the mass-weighted potential matrix,
+    counter-term included, as ``discrete.exact_ground_state_oracle`` builds
+    it in double precision: F(0) = (sum wbar_k - sum omega_j)/2 and
+    E_s(0) = sum_k U_0k^2 (wbar_k + omega_0^2/wbar_k)/4."""
+    with mp.workdps(dps):
+        M, w0 = mp.mpf(bath.M), mp.mpf(bath.omega_0)
+        n = bath.n + 1
+        V = mp.zeros(n, n)
+        V[0, 0] = w0 ** 2
+        for j, (m, w, c) in enumerate(bath.oscillators, start=1):
+            m, w, c = mp.mpf(m), mp.mpf(w), mp.mpf(c)
+            V[j, j] = w ** 2
+            V[0, 0] += c ** 2 / (m * w ** 2 * M)
+            V[0, j] = V[j, 0] = -c / mp.sqrt(M * m)
+        lam, U = mp.eigsy(V)
+        wbar = [mp.sqrt(x) for x in lam]
+        f = (mp.fsum(wbar) - mp.fsum(mp.mpf(w) for _, w, _ in bath.oscillators)) / 2
+        es = mp.fsum(U[0, k] ** 2 * (wbar[k] + w0 ** 2 / wbar[k]) for k in range(n)) / 4
+        return f - es
