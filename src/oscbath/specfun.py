@@ -1,12 +1,13 @@
-"""Exponential integrals in overflow-safe scaled form, plus the
-branch-unifying arctan ratio of the Drude-family closed forms.
+"""Exponential integrals in overflow-safe scaled form, the auxiliary
+function f of the sine and cosine integrals, and the branch-unifying
+arctan ratio of the Drude-family closed forms.
 
 Only finite positive arguments are supported. One evaluator,
 :func:`exp_e1_ei`, computes both scaled integrals at every node of a 1-D
 ndarray with one piece selection per node and one Horner recurrence over a
 table of power-basis coefficients; a float is evaluated as a one-node
 array. :func:`exp_e1` and :func:`exp_neg_ei` each return one of its two
-values.
+values. :func:`aux_f` evaluates f the same way from a table of its own.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "exp_e1",
     "exp_neg_ei",
     "exp_e1_ei",
+    "aux_f",
     "arctan_ratio",
 ]
 
@@ -259,6 +261,118 @@ def exp_neg_ei(x: float | np.ndarray) -> float | np.ndarray:
     """Scaled exponential integral e^-x Ei(x), asymptotically 1/x + 1/x^2:
     the second value of :func:`exp_e1_ei`."""
     return exp_e1_ei(x)[1]
+
+
+# f(z) = Ci(z) sin z - si(z) cos z = int_0^inf e^(-z t)/(1 + t^2) dt
+# (Abramowitz & Stegun 5.2.6, 5.2.12) has the pieces of exp_e1_ei: for
+# z <= 1, sin(z) ln(z) plus a power series of 19 terms in z, the entire
+# part that Ci and Si leave once Ci's ln z is taken out; a polynomial in t
+# on each octave [2^k, 2^(k+1)) below 64; and from 64 on 10 terms of the
+# asymptotic series (1/z) sum_k (-1)^k (2k)!/z^2k in y = 1/z^2, whose first
+# omitted term is below 2e-18 relative. The series and octave literals are
+# generated by scripts/fit_expint.py.
+_F_SERIES = (
+    1.5707963267948966, -0.42278433509846713, -0.7853981633974483,
+    0.20935294473863342, 0.06544984694978737, -0.01421764723693167,
+    -0.002181661564992912, 0.00039992886467373216, 3.895824223201629e-05,
+    -6.205226491034836e-06, -4.328693581335143e-07, 6.11938251557192e-08,
+    3.27931331919329e-09, -4.180037571469526e-10, -1.8018205050512583e-11,
+    2.096097771282048e-12, 7.507585437713576e-14, -8.047337723071508e-15,
+    -2.4534592933704497e-16,
+)
+_F_OCTAVES = (
+    (  # [1, 2)
+        0.4865873987769283, -0.1061122950538496, 0.022509908486218,
+        -0.004837913632016365, 0.0010742534497239229, -0.000248168054890425,
+        5.963499383629745e-05, -1.485307261792534e-05, 3.816336272500647e-06,
+        -1.0068688652606635e-06, 2.716574860381239e-07, -7.469241388720036e-08,
+        2.085265238772737e-08, -5.9051130802043845e-09, 1.715777494077582e-09,
+        -4.985803638267043e-10, 1.260985151205142e-10, -3.632067304847523e-11,
+        2.000513822533407e-11, -6.147171587993408e-12,
+    ),
+    (  # [2, 4)
+        0.29195771069207876, -0.07922152116436403, 0.020687811320628663,
+        -0.005314931657792828, 0.0013624354763221859, -0.0003515373676923051,
+        9.175969594476961e-05, -2.42905895088944e-05, 6.526561929013364e-06,
+        -1.7795148062680529e-06, 4.919991841492123e-07, -1.3778397675690865e-07,
+        3.90077272544579e-08, -1.1166640677773824e-08, 3.2735548694520236e-09,
+        -9.577274898634126e-10, 2.429459344644229e-10, -7.028936702755918e-11,
+        3.90398025297854e-11, -1.2029823889685322e-11,
+    ),
+    (  # [4, 8)
+        0.15930555357626336, -0.04904297415204924, 0.014722226180806541,
+        -0.004341720935673943, 0.0012654307792403468, -0.00036622371403407427,
+        0.00010562431855105664, -3.0442604665105134e-05, 8.7856694327621e-06,
+        -2.5425126617345405e-06, 7.385299444305856e-07, -2.1546689227242693e-07,
+        6.315595810507525e-08, -1.857673151233951e-08, 5.4955697643693285e-09,
+        -1.6656587291572286e-09, 4.996056933105958e-10, -1.24951556744967e-10,
+        3.670541571610874e-11, -2.219902156002463e-11, 6.9323198341530455e-12,
+    ),
+    (  # [8, 16)
+        0.0822573623396378, -0.026748391178924278, 0.008607767949564084,
+        -0.0027450309302758337, 0.0008686550795983866, -0.00027311105825266515,
+        8.54141357994009e-05, -2.6599797995029364e-05, 8.256488278569377e-06,
+        -2.556478012505051e-06, 7.901888499534967e-07, -2.4396870468619345e-07,
+        7.528879242116731e-08, -2.3229076929291844e-08, 7.1522484351122204e-09,
+        -2.2068843216484162e-09, 7.01007259696047e-10, -2.1788839590465434e-10,
+        5.3220540049413075e-11, -1.6013449938251603e-11, 1.096610651310672e-11,
+        -3.5015475864107833e-12,
+    ),
+    (  # [16, 32)
+        0.041524861138684005, -0.01374890894864133, 0.004537776895445086,
+        -0.0014931193626404587, 0.0004898812489893858, -0.00016028964449344975,
+        5.2313692062851835e-05, -1.7033324999263115e-05, 5.533976956975853e-06,
+        -1.7943548366906484e-06, 5.80748064037473e-07, -1.8765304537960372e-07,
+        6.055618299719806e-08, -1.9513993890314018e-08, 6.261615754884248e-09,
+        -2.0117178933139383e-09, 6.691027245690268e-10, -2.1603781667177198e-10,
+        5.228764782485011e-11, -1.6208628633846943e-11, 1.2360349164329474e-11,
+        -4.066708199891059e-12,
+    ),
+    (  # [32, 64)
+        0.02081534183492216, -0.006926514160876551, 0.002302911796630288,
+        -0.0007650254322300545, 0.0002539310546054122, -8.421767733400744e-05,
+        2.7909047307137344e-05, -9.241628599383805e-06, 3.0578899329340303e-06,
+        -1.0110518633197754e-06, 3.34047783889743e-07, -1.1029150137006799e-07,
+        3.639817330484608e-08, -1.2002533189407388e-08, 3.940079025038546e-09,
+        -1.29628728834932e-09, 4.446704578939666e-10, -1.472790135743981e-10,
+        3.4992155116159904e-11, -1.1051932636456716e-11, 9.284411107187451e-12,
+        -3.1330214183353403e-12,
+    ),
+)
+_F_ASYMPTOTIC = tuple(float((-1) ** k * math.factorial(2 * k)) for k in range(10))
+# _F_TABLE[k, piece] is coefficient k of the piece, highest first and padded
+# with leading zeros: 0 the series, 1..6 the octaves, 7 the asymptotic series
+_F_PIECES = (_F_SERIES, *_F_OCTAVES, _F_ASYMPTOTIC)
+_F_WIDTH = max(len(c) for c in _F_PIECES)
+_F_TABLE = np.array([(0.0,) * (_F_WIDTH - len(c)) + c[::-1] for c in _F_PIECES]).T.copy()
+
+
+def aux_f(z: np.ndarray) -> np.ndarray:
+    """f(z) = Ci(z) sin z - si(z) cos z at every node of a 1-D ndarray of
+    finite z > 0, with si(z) = Si(z) - pi/2.
+
+    f decreases from pi/2 at z = 0 like 1/z; each node selects its piece once
+    and one Horner recurrence in the piece's variable, z, t or y = 1/z^2,
+    runs over every node. Raises ValueError unless every z is finite and
+    positive.
+    """
+    if not ((z > 0.0) & (z < math.inf)).all():
+        raise ValueError("aux_f requires finite z > 0")
+    m, e = np.frexp(z)
+    series = z <= 1.0
+    octave = ~series & (e <= len(_F_OCTAVES))
+    u = 1.0 / np.maximum(z, 1.0)
+    y = np.where(series, z, np.where(octave, 4.0 * m - 3.0, u * u))
+    coeffs = _F_TABLE[:, np.where(series, 0, np.minimum(e, len(_F_PIECES) - 1))]
+    f = coeffs[0].copy()
+    for c in coeffs[1:]:
+        f *= y
+        f += c
+    f *= np.where(series | octave, 1.0, u)
+    i = np.flatnonzero(series)
+    if i.size:
+        f[i] += np.sin(z[i]) * np.log(z[i])
+    return f
 
 
 def arctan_ratio(w0: float, gamma: float) -> float:

@@ -9,9 +9,10 @@ follows from the member's large-omega law, stated once in ``spectral``: a
 divergent column keeps its class, and the rest are integrated as one
 shared-panel integral. :func:`thermo_report` takes the Drude model from its
 closed form instead.
-Closed forms and one-dimensional integrands for the Drude,
-exponential-cutoff, and extended-Drude models compute the tables and serve
-as independent references for K.
+Closed forms for the Drude family, and a trapezoid rule on the imaginary
+frequency axis for the exponential-cutoff and extended-Drude n = 1 models
+(:func:`k_exponential`, :func:`k_extended_drude1`), compute the tables and
+serve as independent references for K.
 
 Closed Drude-family forms are written in regime-free real arithmetic
 (through :func:`specfun.arctan_ratio`), so a single expression serves both
@@ -34,6 +35,8 @@ from .quadrature import (
     PANEL_ULPS,
     DivergenceClass,
     DivergenceTag,
+    IntegralResult,
+    NonConvergence,
     integrate_semi_infinite,
 )
 from .spectral import (
@@ -292,7 +295,111 @@ def k_drude_lambda(
 
 
 # ---------------------------------------------------------------------------
-# Exponential-cutoff and extended-Drude one-dimensional integrands
+# Exponential-cutoff and extended-Drude K on the imaginary axis
+
+# the step of the trapezoid rule in s = ln xi, and how far its window
+# reaches beyond the smallest and the largest scale of the model, in s
+_STEP = 0.125
+_MARGIN = 40.0
+# below this v = u/(1+u), log1p(u) - v = sum_k>=2 v^k/k comes from the
+# series: 1/k for k = 10 down to 2, whose first omitted term is below 1e-18
+# of the sum; above it the difference loses at most 2 eps/v of itself
+_SERIES_BELOW = 1e-2
+_BRACKET_SERIES = tuple(1.0 / k for k in range(10, 1, -1))
+# the estimate adds this many ulps of the value for the rounding of the
+# nodes' terms (a few ulps each) and of their pairwise sum
+_ROUNDING_ULPS = 32
+# the most node-entries the rule evaluates at a time
+_BLOCK = 2 ** 18
+
+
+def _k_terms(xi: np.ndarray, gamma_hat: np.ndarray, omega_0) -> np.ndarray:
+    """xi k(xi), the terms of the trapezoid rule in s = ln xi, at the nodes
+    ``xi`` for ``gamma_hat`` of shape (entries, nodes).
+
+    With u = xi gamma_hat/(xi^2 + omega_0^2), the T -> 0 Matsubara form of K
+    (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)) is
+    K = (hbar/2pi) int_0^inf k dxi with
+    k = [log1p(u) - u/(1+u)] + [u/(1+u)] 2 omega_0^2/(xi^2 + omega_0^2):
+    both brackets are >= 0, so K >= 0 node by node for every positive J.
+    """
+    w0sq = omega_0 * omega_0
+    d = xi * xi + w0sq
+    # in place over (entries, nodes): a few such arrays at a time
+    u = gamma_hat * (xi / d)
+    v = 1.0 + u
+    np.divide(u, v, out=v)
+    small = v < _SERIES_BELOW
+    first = np.log1p(u, out=u, where=~small)
+    first -= v
+    series = np.full_like(v, _BRACKET_SERIES[0])
+    for c in _BRACKET_SERIES[1:]:
+        series *= v
+        series += c
+    series *= v
+    series *= v
+    np.copyto(first, series, where=small)
+    v *= 2.0 * w0sq / d
+    first += v
+    first *= xi
+    return first
+
+
+def _imaginary_axis_k(
+    gamma_hat: Callable, omega_0, scales: np.ndarray, entries: int, scale: float, tol: float,
+    max_evals: int,
+) -> IntegralResult:
+    """scale * int_0^inf k(xi) dxi for each entry, k of :func:`_k_terms`.
+
+    The zeros of k lie off the strip |Im s| < pi/2 of s = ln xi, so the
+    trapezoid rule in s converges like exp(-pi^2/h) however narrow a
+    resonance (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). Its nodes
+    are s = j _STEP over [ln min(scales) - _MARGIN, ln max(scales) + _MARGIN];
+    ``gamma_hat`` maps a block of them, a 1-D ndarray of xi, to
+    (entries, nodes), and ``omega_0`` is a float or an (entries, 1) column.
+    A block holds an even number of at most _BLOCK / entries nodes.
+
+    Returns the values, of shape (entries,), their error estimates
+    |T(h) - T(2h)|, T(2h) from the even nodes, plus _ROUNDING_ULPS ulps of
+    the value, and the node count. Raises NonConvergence when the node count
+    exceeds ``max_evals``, an estimate exceeds ``tol`` or an end term of the
+    window is not negligible against the value, and ValueError when a scale
+    is not positive and finite or the square of a node under- or overflows.
+    """
+    if not ((scales > 0.0) & (scales < math.inf)).all():
+        raise ValueError("omega_0, the cutoffs and gamma_o must be positive and finite")
+    lo = math.floor((math.log(scales.min()) - _MARGIN) / _STEP)
+    hi = math.ceil((math.log(scales.max()) + _MARGIN) / _STEP)
+    if hi - lo + 1 > max_evals:
+        raise NonConvergence(f"the imaginary-axis rule needs {hi - lo + 1} nodes > max_evals "
+                             f"{max_evals}", IntegralResult(math.nan, math.inf, 0, False))
+    if 2.0 * _STEP * max(-lo, hi) > 708.0:  # e^(+-708): the squares stay normal floats
+        raise ValueError("the scales of the model are out of range: a node's square "
+                         "under- or overflows")
+    xi = np.exp(_STEP * np.arange(lo, hi + 1))
+    width = max(2, _BLOCK // entries // 2 * 2)  # even: each block starts on node lo's parity
+    full = even = 0.0
+    for b in range(0, len(xi), width):
+        k = _k_terms(xi[b:b + width], gamma_hat(xi[b:b + width]), omega_0)
+        if b == 0:
+            ends = k[:, 0].copy()
+        # along the contiguous axis numpy sums pairwise
+        full = full + k.sum(axis=1)
+        even = even + k[:, lo % 2::2].sum(axis=1)
+    ends = np.maximum(ends, k[:, -1])
+    value = scale * _STEP * full
+    rounding = _ROUNDING_ULPS * np.finfo(float).eps * value
+    err = np.abs(value - scale * 2.0 * _STEP * even) + rounding
+    ends_ok = (scale * _STEP * ends <= rounding).all()
+    tol_ok = (err <= tol).all()  # a NaN estimate fails
+    res = IntegralResult(value, err, len(xi), bool(ends_ok and tol_ok))
+    if not ends_ok:
+        raise NonConvergence("an end term of the imaginary-axis rule's window is not "
+                             "negligible", res)
+    if not tol_ok:
+        raise NonConvergence(f"imaginary-axis rule: error estimate {np.nanmax(err):.3e} "
+                             f"> tol {tol:.3e}", res)
+    return res
 
 
 def k_exponential(
@@ -301,50 +408,41 @@ def k_exponential(
 ) -> float | np.ndarray:
     """Second-law deficit for the exponentially cut-off model.
 
-    Dimensionless variable lam = w/omega_e; the scaled exponential integrals
-    keep the integrand finite at arbitrarily large lam. The integrand carries
-    the prefactor hbar gamma_o omega_e^2 / (2 pi^2), so the integral is K
-    and ``tol`` bounds the estimated absolute error of K itself.
+    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) f(xi/omega_e), with
+    f the auxiliary function of the sine and cosine integrals
+    (:func:`specfun.aux_f`), and K comes from the trapezoid rule of
+    :func:`_imaginary_axis_k`; ``tol`` bounds its error estimate of K itself
+    and ``max_evals`` its node count.
 
     Scalar ``omega_e`` and ``gamma_o`` give a float. Array-like ones
-    broadcast against each other into one integral whose entries share their
-    panels: the split points are the union over the entries, and the
-    exponential integrals are evaluated once per node for all of them. Each
-    entry keeps the bound ``tol``; the result is an ndarray of the broadcast
-    shape.
+    broadcast against each other into entries that share the rule's nodes,
+    and f is evaluated once per node and distinct omega_e; the result is an
+    ndarray of the broadcast shape.
     """
     (omega_e, gamma_o), unpack = _entries(omega_e, gamma_o)
-    we2 = omega_e * omega_e
-    w0sq = omega_0 ** 2
-    damp = gamma_o * omega_e / math.pi
-    pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
+    cutoffs, row = np.unique(omega_e.ravel(), return_inverse=True)
+    coupling = (2.0 / math.pi) * gamma_o
 
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        # Im(a/b) in real arithmetic: node terms first, then one (nodes, entries) pass
-        e1s, eis = specfun.exp_e1_ei(lam)
-        lam2 = lam * lam
-        pe = math.pi * np.exp(-lam)
-        ar, ai = (lam2 * (e1s - eis))[:, None], (lam2 * pe)[:, None]
-        br = we2 * lam2[:, None] - w0sq - damp * (lam * (e1s + eis))[:, None]
-        bi = damp * (lam * pe)[:, None]
-        return pref * (ai * br - ar * bi) / (br * br + bi * bi)
+    def gamma_hat(xi: np.ndarray) -> np.ndarray:
+        f = specfun.aux_f((xi / cutoffs[:, None]).ravel()).reshape(len(cutoffs), -1)[row]
+        f *= coupling
+        return f
 
-    r0 = (omega_0 / omega_e).ravel()
-    splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
-    res = integrate_semi_infinite(
-        integrand, tol=tol, split_points=splits, max_evals=max_evals)
+    scales = np.concatenate(([omega_0], cutoffs, gamma_o.ravel()))
+    res = _imaginary_axis_k(gamma_hat, omega_0, scales, len(row), hbar / (2.0 * math.pi), tol,
+                            max_evals)
     return unpack(res.value)
 
 
 def _entries(*params: ArrayLike):
-    """The parameters broadcast and flattened into (1, entries) rows, and the
-    map from a (entries,) result back to a float (all parameters scalar) or
-    to an ndarray of the broadcast shape."""
+    """The parameters broadcast and flattened into (entries, 1) columns, and
+    the map from a (entries,) result back to a float (all parameters scalar)
+    or to an ndarray of the broadcast shape."""
     shape = np.broadcast_shapes(*(np.shape(p) for p in params))
-    rows = [np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(1, -1) for p in params]
+    cols = [np.broadcast_to(np.asarray(p, dtype=float), shape).reshape(-1, 1) for p in params]
     if shape == ():
-        return rows, lambda k: float(k[0])
-    return rows, lambda k: k.reshape(shape)
+        return cols, lambda k: float(k[0])
+    return cols, lambda k: k.reshape(shape)
 
 
 def k_extended_drude1(
@@ -353,30 +451,26 @@ def k_extended_drude1(
 ) -> float | np.ndarray:
     """Second-law deficit for the extended Drude model with one extra power.
 
-    One integral over lam = w/gamma_o; ``tol`` bounds the estimated absolute
-    error of that integral, K / (hbar gamma_o / 2 pi). Scalar ``omega_0``
-    and ``omega_d`` give a float; array-like ones broadcast into one
-    shared-panel integral, as in :func:`k_exponential`.
+    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) x ln(x)/(x^2 - 1)
+    with x = xi/omega_d, gamma_o/pi at x = 1, and K comes from the
+    trapezoid rule of :func:`_imaginary_axis_k`; ``tol`` bounds its error
+    estimate of K / (hbar gamma_o / 2 pi) and ``max_evals`` its node count.
+    Scalar ``omega_0`` and ``omega_d`` give a float; array-like ones
+    broadcast into entries that share the rule's nodes, with gamma_hat
+    evaluated once per node and distinct omega_d, as in :func:`k_exponential`.
     """
-    (l0, ld), unpack = _entries(np.divide(omega_0, gamma_o), np.divide(omega_d, gamma_o))
-    ld2 = ld * ld
-    l02 = l0 * l0
-    c_log = 2.0 / math.pi
+    (omega_0, omega_d), unpack = _entries(omega_0, omega_d)
+    cutoffs, row = np.unique(omega_d.ravel(), return_inverse=True)
 
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        # Im of lam^2 (ar + i ai) / ((lam^2 + ld^2)(br + i bi)), in real arithmetic
-        lam = lam[:, None]
-        lam2 = lam * lam
-        lg = np.log(lam / ld)
-        ar = c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2)
-        ai = ld * (lam2 - ld2)
-        br = (lam2 - l02) * (lam2 + ld2) - c_log * ld * lam2 * lg
-        bi = ld * lam2
-        return lam2 * (ai * br - ar * bi) / ((lam2 + ld2) * (br * br + bi * bi))
+    def gamma_hat(xi: np.ndarray) -> np.ndarray:
+        x = xi / cutoffs[:, None]
+        d = x - 1.0
+        # ln(x)/(x - 1) -> 1 at x = 1, a node wherever omega_d = e^(j _STEP)
+        ratio = np.divide(np.log(x), d, out=np.ones_like(x), where=d != 0.0)
+        return ((2.0 * gamma_o / math.pi) * (x / (x + 1.0)) * ratio)[row]
 
-    splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
-    res = integrate_semi_infinite(
-        integrand, tol=tol, split_points=splits, max_evals=max_evals)
+    scales = np.concatenate((omega_0.ravel(), cutoffs, [gamma_o]))
+    res = _imaginary_axis_k(gamma_hat, omega_0, scales, len(row), 1.0 / gamma_o, tol, max_evals)
     return unpack(hbar * gamma_o / (2.0 * math.pi) * res.value)
 
 

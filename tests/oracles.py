@@ -6,9 +6,11 @@ long way, as the principal-value transform of J(w) on the package's own
 quadrature engine, so the closed forms can be checked against something that
 shares none of their algebra. The spectral density J(w) itself, their input,
 and dG_+/dw, the analytic side of finite-difference checks, live here too,
-as do the integrands of the two lambda forms of K and of the fused
-E_s/F/K route written as complex quotients, the references for their
-real-arithmetic forms, the Drude closed form of K evaluated at 50
+as do the real-axis lambda forms of K for the exponential and the extended
+Drude n = 1 models, the references on the other contour for
+``thermo.k_exponential`` and ``thermo.k_extended_drude1``, their integrands
+and those of the fused E_s/F/K route written as complex quotients, the
+references for their real-arithmetic forms, the Drude closed form of K evaluated at 50
 digits, the reference for its rounding at weak coupling, K of a finite bath
 from a 50-digit eigensolve, the reference for the discrete K at weak
 coupling, and the finite-part kernels of the delta(0)-carrying members, the
@@ -43,6 +45,7 @@ from oscbath.spectral import (
     _require_positive,
 )
 from oscbath.specfun import exp_e1_ei
+from oscbath.thermo import _entries
 
 
 def j_omega(model: SpectralModel, M: float, omega: float) -> float:
@@ -183,11 +186,91 @@ def gamma_plus_generic(
     return complex(re, res.value / M)
 
 
+def exponential_lambda_integrand(
+    omega_0: float, omega_e: np.ndarray, gamma_o: np.ndarray, hbar: float = 1.0,
+) -> Callable:
+    """The real-axis integrand of K for the exponential model over
+    lam = w/omega_e, in real arithmetic, for parameter rows of shape (1, m):
+    nodes of shape (n,) to (n, m). The scaled exponential integrals keep it
+    finite at arbitrarily large lam, and the prefactor
+    hbar gamma_o omega_e^2 / (2 pi^2) makes its integral K itself."""
+    we2 = omega_e * omega_e
+    w0sq = omega_0 ** 2
+    damp = gamma_o * omega_e / math.pi
+    pref = hbar * gamma_o * we2 / (2.0 * math.pi ** 2)
+
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        # Im(a/b) in real arithmetic: node terms first, then one (nodes, entries) pass
+        e1s, eis = exp_e1_ei(lam)
+        lam2 = lam * lam
+        pe = math.pi * np.exp(-lam)
+        ar, ai = (lam2 * (e1s - eis))[:, None], (lam2 * pe)[:, None]
+        br = we2 * lam2[:, None] - w0sq - damp * (lam * (e1s + eis))[:, None]
+        bi = damp * (lam * pe)[:, None]
+        return pref * (ai * br - ar * bi) / (br * br + bi * bi)
+
+    return integrand
+
+
+def k_exponential_real_axis(
+    omega_0: float, omega_e, gamma_o, hbar: float = 1.0,
+    tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
+):
+    """K of the exponential model as one real-axis integral over lam = w/omega_e,
+    split at 1, omega_0/omega_e and that plus 1; ``tol`` bounds each entry's
+    estimated error of K. Broadcasts as ``thermo.k_exponential``."""
+    (we, g), unpack = _entries(omega_e, gamma_o)
+    we, g = we.T, g.T  # (1, entries) rows
+    r0 = (omega_0 / we).ravel()
+    splits = sorted({1.0, *r0.tolist(), *(r0 + 1.0).tolist()})
+    res = integrate_semi_infinite(exponential_lambda_integrand(omega_0, we, g, hbar), tol=tol,
+                                  split_points=splits, max_evals=max_evals)
+    return unpack(res.value)
+
+
+def extended_drude1_lambda_integrand(l0: np.ndarray, ld: np.ndarray) -> Callable:
+    """The real-axis integrand of K / (hbar gamma_o / 2 pi) for the extended
+    Drude n = 1 model over lam = w/gamma_o, in real arithmetic, with
+    l0 = omega_0/gamma_o and ld = omega_d/gamma_o as rows of shape (1, m)."""
+    ld2 = ld * ld
+    l02 = l0 * l0
+    c_log = 2.0 / math.pi
+
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        # Im of lam^2 (ar + i ai) / ((lam^2 + ld^2)(br + i bi)), in real arithmetic
+        lam = lam[:, None]
+        lam2 = lam * lam
+        lg = np.log(lam / ld)
+        ar = c_log * ld * ((ld2 - lam2) * lg + lam2 + ld2)
+        ai = ld * (lam2 - ld2)
+        br = (lam2 - l02) * (lam2 + ld2) - c_log * ld * lam2 * lg
+        bi = ld * lam2
+        return lam2 * (ai * br - ar * bi) / ((lam2 + ld2) * (br * br + bi * bi))
+
+    return integrand
+
+
+def k_extended_drude1_real_axis(
+    omega_0, omega_d, gamma_o: float, hbar: float = 1.0,
+    tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
+):
+    """K of the extended Drude n = 1 model as one real-axis integral over
+    lam = w/gamma_o, split at l0, ld and l0 + ld; ``tol`` bounds each entry's
+    estimated error of K / (hbar gamma_o / 2 pi). Broadcasts as
+    ``thermo.k_extended_drude1``."""
+    (l0, ld), unpack = _entries(np.divide(omega_0, gamma_o), np.divide(omega_d, gamma_o))
+    l0, ld = l0.T, ld.T  # (1, entries) rows
+    splits = sorted({*l0.ravel().tolist(), *ld.ravel().tolist(), *(l0 + ld).ravel().tolist()})
+    res = integrate_semi_infinite(extended_drude1_lambda_integrand(l0, ld), tol=tol,
+                                  split_points=splits, max_evals=max_evals)
+    return unpack(hbar * gamma_o / (2.0 * math.pi) * res.value)
+
+
 def k_exponential_integrand(
     omega_0: float, omega_e: np.ndarray, gamma_o: np.ndarray, lam: np.ndarray,
     hbar: float = 1.0,
 ) -> np.ndarray:
-    """The integrand of ``thermo.k_exponential`` over lam = w/omega_e as the
+    """The integrand of :func:`exponential_lambda_integrand` as the
     imaginary part of one complex quotient, at nodes ``lam`` (shape (n,))
     for parameter rows of shape (1, m); the result has shape (n, m)."""
     we2 = omega_e * omega_e
@@ -202,7 +285,7 @@ def k_exponential_integrand(
 
 
 def k_extended_drude1_integrand(l0: np.ndarray, ld: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """The integrand of ``thermo.k_extended_drude1`` over lam = w/gamma_o as
+    """The integrand of :func:`extended_drude1_lambda_integrand` as
     the imaginary part of one complex quotient, with l0 = omega_0/gamma_o
     and ld = omega_d/gamma_o as rows of shape (1, m); shape (n, m)."""
     lam = lam[:, None]

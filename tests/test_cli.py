@@ -1,8 +1,12 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -198,10 +202,22 @@ class TestGrids:
 
     @pytest.mark.parametrize("command", [["table1"], ["table2"], ["check", "--baths", "1"]])
     def test_budget_exhausted_exits_1(self, command, capsys):
-        rc = main(command + ["--tol", "1e-15", "--max-evals", "1000"])
+        # the tables' rule needs about 700 nodes
+        rc = main(command + ["--tol", "1e-15", "--max-evals", "100"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_tables_import_no_scipy(self):
+        # in a fresh interpreter: scipy alone adds about 20 MB to a process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; from oscbath import cli; "
+                "assert cli.main(['table1']) == cli.main(['table2']) == 0; "
+                "print('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env).stdout
+        assert out.splitlines()[-1] == "False"
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         main(["fig1"])

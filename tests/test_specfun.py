@@ -138,6 +138,41 @@ class TestScaledExponentialIntegrals:
         assert v < math.log1p(1.0 / x) + 1e-15
 
 
+def oracle_aux_f(z: float) -> mp.mpf:
+    # Ci(z) sin z - si(z) cos z: si(z) = Si(z) - pi/2 cancels to about 1/z,
+    # so carry log10(z) more digits than the 30 of the result
+    with mp.workdps(40 + max(0, int(math.log10(z)))):
+        z = mp.mpf(z)
+        return mp.ci(z) * mp.sin(z) - (mp.si(z) - mp.pi / 2) * mp.cos(z)
+
+
+class TestAuxiliaryF:
+    def test_oracle_sweep(self):
+        # a log sweep over [1e-20, 1e20] and every piece edge with its
+        # neighbours, to about an ulp
+        zs = log_grid(1e-20, 1e20, 801) + PIECE_EDGES
+        got = specfun.aux_f(np.array(zs))
+        for v, z in zip(got.tolist(), zs):
+            assert abs(mp.mpf(v) / oracle_aux_f(z) - 1) < 1e-15, f"z={z!r}"
+
+    def test_laplace_transform(self):
+        # f(z) = int_0^inf e^(-z t)/(1 + t^2) dt, which no piece uses
+        for z in (0.3, 3.0, 30.0):
+            ref = mp.quad(lambda t: mp.exp(-z * t) / (1 + t * t), [0, 1, mp.inf])
+            assert specfun.aux_f(np.array([z]))[0] == pytest.approx(float(ref), rel=1e-14)
+
+    def test_limits(self):
+        # pi/2 at z -> 0, 1/z - 2/z^3 at large z
+        small, large = specfun.aux_f(np.array([1e-300, 1e300]))
+        assert small == math.pi / 2
+        assert large == pytest.approx(1e-300, rel=1e-15)
+
+    def test_domain_errors(self):
+        for bad in (0.0, -1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                specfun.aux_f(np.array([1.0, bad]))
+
+
 def test_fit_script_prints_the_shipped_literals():
     # every literal scripts/fit_expint.py prints is in specfun.py as printed
     script = Path(__file__).resolve().parents[1] / "scripts" / "fit_expint.py"
@@ -145,7 +180,7 @@ def test_fit_script_prints_the_shipped_literals():
                          check=True).stdout
     literals = re.split(r"\n(?=_)", out.strip())
     assert [b.split(" = ", 1)[0] for b in literals] == [
-        "_E1_OCTAVES", "_EI_OCTAVES", "_EI_ZERO", "_EI_TAYLOR"]
+        "_E1_OCTAVES", "_EI_OCTAVES", "_EI_ZERO", "_EI_TAYLOR", "_F_SERIES", "_F_OCTAVES"]
     source = Path(specfun.__file__).read_text()
     for block in literals:
         assert block in source, block.splitlines()[0]

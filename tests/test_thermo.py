@@ -12,12 +12,16 @@ from hypothesis import strategies as st
 
 import goldens
 from oracles import (
+    exponential_lambda_integrand,
+    extended_drude1_lambda_integrand,
     finite_part_kernel,
     fused_integrand,
     g_plus_derivative,
     k_drude_closed_mp,
     k_exponential_integrand,
+    k_exponential_real_axis,
     k_extended_drude1_integrand,
+    k_extended_drude1_real_axis,
 )
 from oscbath.quadrature import DivergenceClass, DivergenceTag, NonConvergence, classify_tail
 from oscbath.spectral import (
@@ -217,24 +221,6 @@ class TestDrudeConsistency:
             thermo.k_drude_closed(1e100, 1e100, 1.0)
 
 
-class _Captured(Exception):
-    pass
-
-
-def _integrand_of(monkeypatch, k, *args):
-    """The integrand that ``k(*args)`` hands to integrate_semi_infinite."""
-    seen = []
-
-    def capture(f, **kwargs):
-        seen.append(f)
-        raise _Captured
-
-    monkeypatch.setattr(thermo, "integrate_semi_infinite", capture)
-    with pytest.raises(_Captured):
-        k(*args)
-    return seen[0]
-
-
 class TestExponential:
     def test_frozen_goldens(self):
         for i, we in enumerate(goldens.TABLE1_OMEGA_E):
@@ -274,10 +260,10 @@ class TestExponential:
         ratio = thermo.k_exponential(1.0, 1.0, 2e-4) / thermo.k_exponential(1.0, 1.0, 1e-4)
         assert ratio == pytest.approx(2.0, abs=1e-3)
 
-    def test_integrand_finite_at_large_argument(self, monkeypatch):
-        # the scaled exponential integrals keep the integrand representable
-        # at lam = 500 where the unscaled E1/Ei would overflow
-        f = _integrand_of(monkeypatch, thermo.k_exponential, 1.0, 1.0, 1.0)
+    def test_integrand_finite_at_large_argument(self):
+        # the scaled exponential integrals keep the real-axis integrand
+        # representable at lam = 500 where the unscaled E1/Ei would overflow
+        f = exponential_lambda_integrand(1.0, np.ones((1, 1)), np.ones((1, 1)))
         val = f(np.array([500.0]))
         assert val.shape == (1, 1)
         assert np.isfinite(val).all()
@@ -315,9 +301,130 @@ class TestExtendedDrude1:
                 assert abs(got[i, j] - k) < 1e-9
 
 
+class TestImaginaryAxisRule:
+    """The trapezoid rule in s = ln xi behind k_exponential and k_extended_drude1."""
+
+    TABLE1 = (1.0, np.array(goldens.TABLE1_OMEGA_E)[:, None], np.array(goldens.TABLE1_GAMMA))
+    TABLE2 = (np.array(goldens.TABLE2_GRID)[:, None], np.array(goldens.TABLE2_GRID), 1.0)
+
+    @staticmethod
+    def _wide_draws(count=100, seed=26):
+        # (omega_0, cutoff, gamma_o) log-uniform over ranges far wider than
+        # the tables': omega_0 in [1e-3, 1e3], cutoff in [1e-2, 1e6], gamma_o
+        # in [1e-8, 1e4]
+        rng = np.random.default_rng(seed)
+        return [tuple(10.0 ** rng.uniform(lo, hi) for lo, hi in ((-3, 3), (-2, 6), (-8, 4)))
+                for _ in range(count)]
+
+    @staticmethod
+    def _recording(monkeypatch, name):
+        """Wrap ``thermo.<name>`` and return the list its results go to."""
+        seen = []
+        original = getattr(thermo, name)
+
+        def recording(*args):
+            seen.append(original(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(thermo, name, recording)
+        return seen
+
+    def test_k_integrand_nonnegative_at_every_node(self, monkeypatch):
+        # both brackets of the integrand are >= 0 for every positive J: the
+        # paper's cutoff claim K >= 0, node by node
+        terms = self._recording(monkeypatch, "_k_terms")
+        thermo.k_exponential(*self.TABLE1)
+        thermo.k_extended_drude1(*self.TABLE2)
+        draws = self._wide_draws()
+        for omega_0, cutoff, gamma_o in draws:
+            assert thermo.k_exponential(omega_0, cutoff, gamma_o) > 0.0
+            assert thermo.k_extended_drude1(omega_0, cutoff, gamma_o) > 0.0
+        assert len(terms) == 2 + 2 * len(draws)
+        for k in terms:
+            assert np.all((k >= 0.0) & np.isfinite(k))
+
+    def test_agrees_with_the_real_axis_on_the_tables(self):
+        exp = thermo.k_exponential(*self.TABLE1)
+        assert np.abs(exp - k_exponential_real_axis(*self.TABLE1, tol=1e-13)).max() <= 1e-13
+        xdrude1 = thermo.k_extended_drude1(*self.TABLE2)
+        assert np.abs(xdrude1 - k_extended_drude1_real_axis(*self.TABLE2, tol=1e-13)).max() <= 1e-13
+
+    def test_real_axis_oracles_keep_the_lambda_forms(self):
+        # the oracles are the real-axis lambda forms the tables once ran
+        assert k_exponential_real_axis(1.0, 5.0, 2.0) == pytest.approx(
+            thermo.k_exponential(1.0, 5.0, 2.0), abs=1e-9)
+        assert k_extended_drude1_real_axis(1.0, 5.0, 2.0) == pytest.approx(
+            thermo.k_extended_drude1(1.0, 5.0, 2.0), abs=1e-9)
+
+    # K at hbar = 1 to 20 digits from 30-digit quadratures of the same
+    # integrand (scripts/k_references.py): the weak-coupling pins and the
+    # narrow resonances of defect 10
+    REFERENCES = [
+        (thermo.k_exponential, (1.0, 1e4, 1e-8), "1.5901752730900923828e-9"),
+        (thermo.k_extended_drude1, (1.0, 1e4, 1e-8), "1.3067662130661637327e-12"),
+        (thermo.k_extended_drude1, (1.0, 1000.0, 1e-5), "9.4074605166737941948e-9"),
+        (thermo.k_exponential, (1.0, 0.1, 1e-5), "1.3427367728697988164e-7"),
+        (thermo.k_exponential, (2.138, 0.104, 3.86e-6), "2.7333698427120703603e-8"),
+    ]
+
+    @pytest.mark.parametrize("entry, args, reference", REFERENCES)
+    def test_estimate_bounds_the_error(self, monkeypatch, entry, args, reference):
+        results = self._recording(monkeypatch, "_imaginary_axis_k")
+        k = entry(*args)
+        (estimate,) = results[0].abs_error_estimate
+        if entry is thermo.k_extended_drude1:
+            estimate *= args[2] / (2.0 * math.pi)  # an estimate of K / (hbar gamma_o / 2 pi)
+        with mp.workdps(30):
+            error = abs(mp.mpf(k) - mp.mpf(reference))
+        assert error <= estimate < 1e-13 * k
+
+    def test_node_at_omega_d(self, monkeypatch):
+        # xi = omega_d = 1 is a node: there gamma_hat is its limit gamma_o/pi,
+        # and K is continuous in omega_d across it
+        calls = []
+        k_terms = thermo._k_terms
+
+        def recording(xi, gamma_hat, omega_0):
+            calls.append((xi, gamma_hat))
+            return k_terms(xi, gamma_hat, omega_0)
+
+        monkeypatch.setattr(thermo, "_k_terms", recording)
+        k = thermo.k_extended_drude1(1.0, 1.0, 2.0)
+        xi, gamma_hat = calls[0]
+        assert gamma_hat[0, np.flatnonzero(xi == 1.0)] == pytest.approx([2.0 / math.pi], rel=1e-15)
+        for wd in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
+            assert thermo.k_extended_drude1(1.0, wd, 2.0) == pytest.approx(k, rel=1e-14)
+
+    def test_blocks_of_nodes(self, monkeypatch):
+        # the tables fit one block; in blocks of a few nodes each the sums
+        # only change their order
+        one = thermo.k_exponential(*self.TABLE1), thermo.k_extended_drude1(*self.TABLE2)
+        monkeypatch.setattr(thermo, "_BLOCK", 100)
+        blocked = thermo.k_exponential(*self.TABLE1), thermo.k_extended_drude1(*self.TABLE2)
+        for a, b in zip(one, blocked):
+            assert np.abs(b / a - 1.0).max() < 1e-14
+        with pytest.raises(NonConvergence, match="error estimate"):
+            thermo.k_extended_drude1(*self.TABLE2, tol=1e-17)
+
+    def test_budget_and_tol_raise(self):
+        with pytest.raises(NonConvergence, match="nodes > max_evals 100"):
+            thermo.k_exponential(1.0, 1.0, 1.0, max_evals=100)
+        with pytest.raises(NonConvergence, match="error estimate"):
+            thermo.k_extended_drude1(1.0, 1.0, 1.0, tol=1e-17)
+
+    def test_scales_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            thermo.k_exponential(1.0, 1e300, 1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                thermo.k_exponential(1.0, [5.0, bad], 1.0)
+            with pytest.raises(ValueError, match="positive and finite"):
+                thermo.k_extended_drude1(bad, 5.0, 1.0)
+
+
 class TestRealArithmeticIntegrands:
-    """The lambda integrands take Im(a/b) in real arithmetic; the complex
-    quotients of the test oracles are their reference."""
+    """The real-axis lambda integrands of the test oracles take Im(a/b) in
+    real arithmetic; their complex quotients are the reference."""
 
     LAM = np.geomspace(1e-6, 1e15, 400)
     CUTOFFS = np.array([0.1, 5.0, 1e4])
@@ -329,17 +436,17 @@ class TestRealArithmeticIntegrands:
         scale = np.maximum(np.abs(got), np.abs(ref))
         assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
-    def test_exponential_matches_the_complex_quotient(self, monkeypatch):
+    def test_exponential_matches_the_complex_quotient(self):
         we, g = self.CUTOFFS[:, None], np.array(self.COUPLINGS)
-        f = _integrand_of(monkeypatch, thermo.k_exponential, 1.0, we, g, 2.5)
         rows = [np.broadcast_to(p, (3, 3)).reshape(1, -1) for p in (we, g)]
+        f = exponential_lambda_integrand(1.0, *rows, hbar=2.5)
         self._assert_close(f(self.LAM), k_exponential_integrand(1.0, *rows, self.LAM, hbar=2.5))
 
     @pytest.mark.parametrize("gamma_o", COUPLINGS)
-    def test_extended_drude1_matches_the_complex_quotient(self, monkeypatch, gamma_o):
-        f = _integrand_of(monkeypatch, thermo.k_extended_drude1, 1.0, self.CUTOFFS, gamma_o)
+    def test_extended_drude1_matches_the_complex_quotient(self, gamma_o):
         l0 = np.full((1, 3), 1.0 / gamma_o)
         ld = (self.CUTOFFS / gamma_o)[None, :]
+        f = extended_drude1_lambda_integrand(l0, ld)
         self._assert_close(f(self.LAM), k_extended_drude1_integrand(l0, ld, self.LAM))
 
     MEMBERS = [Ohmic(1.0), Drude(1.0, 5.0), Exponential(1.0, 5.0),
@@ -364,10 +471,10 @@ class TestRealArithmeticIntegrands:
                 assert np.array_equal(part, got[:, list(columns)])
 
     def test_weak_coupling_pins(self):
-        assert thermo.k_exponential(1.0, 1e4, 1e-8) == pytest.approx(1.590954764842e-09, rel=1e-12)
-        # the last panel of the mapped half line reaches machine width first
-        with pytest.raises(NonConvergence):
-            thermo.k_extended_drude1(1.0, 1e4, 1e-8)
+        # 30-digit imaginary-axis integrals from scripts/k_references.py
+        assert thermo.k_exponential(1.0, 1e4, 1e-8) == pytest.approx(1.59017527309009e-09, rel=1e-12)
+        assert thermo.k_extended_drude1(1.0, 1e4, 1e-8) == pytest.approx(
+            1.30676621306616e-12, rel=1e-12)
 
 
 class TestExtendedDrude2:
@@ -949,16 +1056,16 @@ class TestOpenDefects:
     """Known defects of public entry points, as strict xfails that pass
     once the defect is mended."""
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "defect 10: the map x = t/(1 - t) squeezes the resonance into a few "
-        "ulps of t, and the lambda form returns K with the wrong sign"))
+    # defect 10, mended: on the real axis the map x = t/(1 - t) squeezed the
+    # resonance into a few ulps of t, and the lambda forms returned K with
+    # the wrong sign (-1.2297e-8, -3.666e-8 and -3.0e-9); the imaginary axis
+    # has no narrow feature
     @pytest.mark.parametrize("entry, args, reference", [
         (thermo.k_extended_drude1, (1.0, 1000.0, 1e-5), 9.4075e-9),
         (thermo.k_exponential, (1.0, 0.1, 1e-5), 1.3427e-7),
         (thermo.k_exponential, (2.138, 0.104, 3.86e-6), 2.7334e-8),
     ])
     def test_lambda_forms_resolve_narrow_resonances(self, entry, args, reference):
-        # returns -1.2297e-8, -3.666e-8 and -3.0e-9
         assert entry(*args) == pytest.approx(reference, rel=1e-4)
 
     @pytest.mark.xfail(strict=True, reason=(
