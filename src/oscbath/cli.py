@@ -145,15 +145,14 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def fig1_grid(hbar: float) -> list[tuple[float, float, float]]:
     """(x, Omega/w0, K/E_g) for the weakly divergent extended-Drude family.
 
-    w0 = 1, gamma = x, E_g = (hbar/2) sqrt(Omega gamma + w0^2).
+    w0 = 1, gamma = x, E_g = (hbar/2) sqrt(Omega gamma + w0^2); one closed-form
+    call on the whole (ratio, x) grid.
     """
-    out = []
-    for ratio in FIG1_RATIOS:
-        for x in _fig1_x_grid():
-            k = thermo.k_extended_drude2_closed(1.0, ratio, x, hbar=hbar)
-            e_g = 0.5 * hbar * math.sqrt(ratio * x + 1.0)
-            out.append((x, ratio, k / e_g))
-    return out
+    x = np.array(_fig1_x_grid())
+    ratio = np.array(FIG1_RATIOS)[:, None]
+    k = thermo.k_extended_drude2_closed(1.0, ratio, x, hbar=hbar)
+    k_norm = (k / (0.5 * hbar * np.sqrt(ratio * x + 1.0))).tolist()
+    return [(xi, r, v) for r, row in zip(FIG1_RATIOS, k_norm) for xi, v in zip(x.tolist(), row)]
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:

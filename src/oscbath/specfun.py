@@ -375,17 +375,40 @@ def aux_f(z: np.ndarray) -> np.ndarray:
     return f
 
 
-def arctan_ratio(w0: float, gamma: float) -> float:
+# numpy's own atan2 and asinh differ from the math module's by up to 2 ulps
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+_ASINH = np.frompyfunc(math.asinh, 1, 1)
+
+
+def arctan_ratio(w0: float | np.ndarray, gamma: float | np.ndarray) -> float | np.ndarray:
     """(1/w1) arctan(2 w1/gamma) = arccos(gamma/2 w0)/w1, w1^2 = w0^2 - (gamma/2)^2.
 
     Even in w1, hence single-valued across the damping regimes: for
     w0 < gamma/2 it equals asinh(wb1/w0)/wb1 with wb1^2 = -w1^2. Both
     forms, and w1^2 taken as a product, keep full relative accuracy.
+    Floats give a float. ndarrays broadcast, and each element equals the
+    scalar call's value: atan2 and asinh are the math module's, each on the
+    elements of its regime, and np.where selects the critical-point series.
     """
-    if w0 <= 0.0 or gamma < 0.0:
-        raise ValueError("arctan_ratio requires w0 > 0 and gamma >= 0")
     half = 0.5 * gamma
     disc = (w0 - half) * (w0 + half)
+    if isinstance(disc, np.ndarray):
+        w0, gamma, half = np.broadcast_arrays(w0, gamma, half)
+        if np.any(w0 <= 0.0) or np.any(gamma < 0.0):
+            raise ValueError("arctan_ratio requires w0 > 0 and gamma >= 0")
+        scale = np.maximum(w0, gamma)
+        w1 = np.sqrt(np.abs(disc))
+        under = disc > 0.0
+        over = ~under
+        ratio = np.empty_like(w1)
+        ratio[under] = _ATAN2(w1[under], half[under])
+        ratio[over] = _ASINH(w1[over] / w0[over])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio /= w1
+            series = 2.0 / gamma * (1.0 - (4.0 * disc / (gamma * gamma)) / 3.0)
+        return np.where(np.abs(disc) < 1e-12 * scale * scale, series, ratio)
+    if w0 <= 0.0 or gamma < 0.0:
+        raise ValueError("arctan_ratio requires w0 > 0 and gamma >= 0")
     scale = max(w0, gamma)
     if abs(disc) < 1e-12 * scale * scale:
         # series of arctan(z)/z about the critical point

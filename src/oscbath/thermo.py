@@ -8,7 +8,7 @@ their values from one E_s/F/K triple per model. Each column's tail class
 follows from the member's large-omega law, stated once in ``spectral``: a
 divergent column keeps its class, and the rest are integrated as one
 shared-panel integral. :func:`thermo_report` takes the Drude model from its
-closed form instead.
+closed form instead, and its K from the rule below where that form cancels.
 Closed forms for the Drude family, and a trapezoid rule on the imaginary
 frequency axis for the exponential-cutoff and extended-Drude n = 1 models
 (:func:`k_exponential`, :func:`k_extended_drude1`), compute the tables and
@@ -236,8 +236,7 @@ def _drude_es_f(
     intermediate such as w0^4 overflows where E_s(0) and F(0) are finite.
     The logarithms and arctan_ratio take their arguments unscaled, where a
     tiny Omega/s or w0/s would underflow to 0.
-    Raises ValueError naming E_s(0) or F(0) when it overflows itself, or K
-    when F(0) - E_s(0) is below their rounding.
+    Raises ValueError naming E_s(0) or F(0) when it overflows itself.
     """
     params = drude_params_from_physical(omega_0, omega_d, gamma_o)
     # unscaled; a difference of logs where the ratio under- or overflows
@@ -259,18 +258,22 @@ def _drude_es_f(
     for name, value in (("E_s(0)", es), ("F(0)", f0)):
         if not math.isfinite(value):
             raise ValueError(f"{name} of the Drude model is out of range")
-    # K > 0 with a cutoff; at or below this it has no significant digit left
-    if not f0 - es > 8.0 * math.ulp(f0):
-        raise ValueError(f"K = F(0) - E_s(0) of the Drude model is lost in the rounding "
-                         f"of E_s(0) = {es:.6g} and F(0) = {f0:.6g}")
     return es, f0
 
 
 def k_drude_closed(
     omega_0: float, omega_d: float, gamma_o: float, hbar: float = 1.0
 ) -> float:
-    """Second-law deficit for the Drude model, fully closed form."""
+    """Second-law deficit for the Drude model, fully closed form.
+
+    K = F(0) - E_s(0) errs by about eps F(0)/K; raises ValueError when it is
+    lost in their rounding.
+    """
     es, f = _drude_es_f(omega_0, omega_d, gamma_o, hbar)
+    # K > 0 with a cutoff; at or below this it has no significant digit left
+    if not f - es > 8.0 * math.ulp(f):
+        raise ValueError(f"K = F(0) - E_s(0) of the Drude model is lost in the rounding "
+                         f"of E_s(0) = {es:.6g} and F(0) = {f:.6g}")
     return f - es
 
 
@@ -297,10 +300,12 @@ def k_drude_lambda(
 # ---------------------------------------------------------------------------
 # Exponential-cutoff and extended-Drude K on the imaginary axis
 
-# the step of the trapezoid rule in s = ln xi, and how far its window
-# reaches beyond the smallest and the largest scale of the model, in s
+# the step of the trapezoid rule in s = ln xi, and its window's margins below the
+# smallest and above the largest scale, in s: xi k falls like xi^2 below and like
+# xi^-3 above (times ln^2 xi for xdrude n = 1), so the end terms are near e^-40 and
+# 200 e^-42 of the peak; E_s and F fall only like 1/xi and would need more above
 _STEP = 0.125
-_MARGIN = 40.0
+_MARGIN_BELOW, _MARGIN_ABOVE = 20.0, 14.0
 # below this v = u/(1+u), log1p(u) - v = sum_k>=2 v^k/k comes from the
 # series: 1/k for k = 10 down to 2, whose first omitted term is below 1e-18
 # of the sum; above it the difference loses at most 2 eps/v of itself
@@ -315,7 +320,7 @@ _BLOCK = 2 ** 18
 
 def _k_terms(xi: np.ndarray, gamma_hat: np.ndarray, omega_0) -> np.ndarray:
     """xi k(xi), the terms of the trapezoid rule in s = ln xi, at the nodes
-    ``xi`` for ``gamma_hat`` of shape (entries, nodes).
+    ``xi`` of shape (entries, nodes) for a ``gamma_hat`` that broadcasts to it.
 
     With u = xi gamma_hat/(xi^2 + omega_0^2), the T -> 0 Matsubara form of K
     (Grabert, Schramm & Ingold, Phys. Rep. 168, 115 (1988)) is
@@ -346,18 +351,19 @@ def _k_terms(xi: np.ndarray, gamma_hat: np.ndarray, omega_0) -> np.ndarray:
 
 
 def _imaginary_axis_k(
-    gamma_hat: Callable, omega_0, scales: np.ndarray, entries: int, scale: float, tol: float,
-    max_evals: int,
+    gamma_hat: Callable, omega_0, anchors: np.ndarray, scales: np.ndarray, scale: float,
+    tol: float, max_evals: int,
 ) -> IntegralResult:
     """scale * int_0^inf k(xi) dxi for each entry, k of :func:`_k_terms`.
 
     The zeros of k lie off the strip |Im s| < pi/2 of s = ln xi, so the
     trapezoid rule in s converges like exp(-pi^2/h) however narrow a
-    resonance (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). Its nodes
-    are s = j _STEP over [ln min(scales) - _MARGIN, ln max(scales) + _MARGIN];
-    ``gamma_hat`` maps a block of them, a 1-D ndarray of xi, to
-    (entries, nodes), and ``omega_0`` is a float or an (entries, 1) column.
-    A block holds an even number of at most _BLOCK / entries nodes.
+    resonance (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). Entry i's
+    nodes are xi = a_i e^s, s = j _STEP: a_i is its row of the (entries, 1)
+    column ``anchors``, and one range of j reaches the margins past the
+    ``scales`` for every entry. ``gamma_hat`` maps a block of t = e^s and s
+    (1-D) to an array that broadcasts against (entries, nodes); ``omega_0``
+    is a float or an (entries, 1) column.
 
     Returns the values, of shape (entries,), their error estimates
     |T(h) - T(2h)|, T(2h) from the even nodes, plus _ROUNDING_ULPS ulps of
@@ -368,19 +374,22 @@ def _imaginary_axis_k(
     """
     if not ((scales > 0.0) & (scales < math.inf)).all():
         raise ValueError("omega_0, the cutoffs and gamma_o must be positive and finite")
-    lo = math.floor((math.log(scales.min()) - _MARGIN) / _STEP)
-    hi = math.ceil((math.log(scales.max()) + _MARGIN) / _STEP)
+    ln_a = np.log(anchors)
+    lo = math.floor((math.log(scales.min()) - _MARGIN_BELOW - ln_a.max()) / _STEP)
+    hi = math.ceil((math.log(scales.max()) + _MARGIN_ABOVE - ln_a.min()) / _STEP)
     if hi - lo + 1 > max_evals:
         raise NonConvergence(f"the imaginary-axis rule needs {hi - lo + 1} nodes > max_evals "
                              f"{max_evals}", IntegralResult(math.nan, math.inf, 0, False))
-    if 2.0 * _STEP * max(-lo, hi) > 708.0:  # e^(+-708): the squares stay normal floats
+    if 2.0 * max(ln_a.max() + _STEP * hi, -ln_a.min() - _STEP * lo) > 708.0:  # normal squares
         raise ValueError("the scales of the model are out of range: a node's square "
                          "under- or overflows")
-    xi = np.exp(_STEP * np.arange(lo, hi + 1))
-    width = max(2, _BLOCK // entries // 2 * 2)  # even: each block starts on node lo's parity
+    s = _STEP * np.arange(lo, hi + 1)
+    t = np.exp(s)
+    width = max(2, _BLOCK // len(anchors) // 2 * 2)  # even: each block starts on lo's parity
     full = even = 0.0
-    for b in range(0, len(xi), width):
-        k = _k_terms(xi[b:b + width], gamma_hat(xi[b:b + width]), omega_0)
+    for b in range(0, len(t), width):
+        block = slice(b, b + width)
+        k = _k_terms(anchors * t[block], gamma_hat(t[block], s[block]), omega_0)
         if b == 0:
             ends = k[:, 0].copy()
         # along the contiguous axis numpy sums pairwise
@@ -392,7 +401,7 @@ def _imaginary_axis_k(
     err = np.abs(value - scale * 2.0 * _STEP * even) + rounding
     ends_ok = (scale * _STEP * ends <= rounding).all()
     tol_ok = (err <= tol).all()  # a NaN estimate fails
-    res = IntegralResult(value, err, len(xi), bool(ends_ok and tol_ok))
+    res = IntegralResult(value, err, len(t), bool(ends_ok and tol_ok))
     if not ends_ok:
         raise NonConvergence("an end term of the imaginary-axis rule's window is not "
                              "negligible", res)
@@ -415,21 +424,18 @@ def k_exponential(
     and ``max_evals`` its node count.
 
     Scalar ``omega_e`` and ``gamma_o`` give a float. Array-like ones
-    broadcast against each other into entries that share the rule's nodes,
-    and f is evaluated once per node and distinct omega_e; the result is an
-    ndarray of the broadcast shape.
+    broadcast against each other into entries with nodes anchored at their
+    own omega_e, so f(t) is evaluated once per node, however many distinct
+    omega_e there are; the result is an ndarray of the broadcast shape.
     """
     (omega_e, gamma_o), unpack = _entries(omega_e, gamma_o)
-    cutoffs, row = np.unique(omega_e.ravel(), return_inverse=True)
     coupling = (2.0 / math.pi) * gamma_o
 
-    def gamma_hat(xi: np.ndarray) -> np.ndarray:
-        f = specfun.aux_f((xi / cutoffs[:, None]).ravel()).reshape(len(cutoffs), -1)[row]
-        f *= coupling
-        return f
+    def gamma_hat(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        return coupling * specfun.aux_f(t)
 
-    scales = np.concatenate(([omega_0], cutoffs, gamma_o.ravel()))
-    res = _imaginary_axis_k(gamma_hat, omega_0, scales, len(row), hbar / (2.0 * math.pi), tol,
+    scales = np.concatenate(([omega_0], omega_e.ravel(), gamma_o.ravel()))
+    res = _imaginary_axis_k(gamma_hat, omega_0, omega_e, scales, hbar / (2.0 * math.pi), tol,
                             max_evals)
     return unpack(res.value)
 
@@ -451,69 +457,64 @@ def k_extended_drude1(
 ) -> float | np.ndarray:
     """Second-law deficit for the extended Drude model with one extra power.
 
-    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) x ln(x)/(x^2 - 1)
-    with x = xi/omega_d, gamma_o/pi at x = 1, and K comes from the
+    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) t ln(t)/(t^2 - 1)
+    with t = xi/omega_d, gamma_o/pi at t = 1, and K comes from the
     trapezoid rule of :func:`_imaginary_axis_k`; ``tol`` bounds its error
     estimate of K / (hbar gamma_o / 2 pi) and ``max_evals`` its node count.
     Scalar ``omega_0`` and ``omega_d`` give a float; array-like ones
-    broadcast into entries that share the rule's nodes, with gamma_hat
-    evaluated once per node and distinct omega_d, as in :func:`k_exponential`.
+    broadcast into entries whose nodes are anchored at their own omega_d, so
+    that gamma_hat(t) is evaluated once per node, as in :func:`k_exponential`.
     """
     (omega_0, omega_d), unpack = _entries(omega_0, omega_d)
-    cutoffs, row = np.unique(omega_d.ravel(), return_inverse=True)
 
-    def gamma_hat(xi: np.ndarray) -> np.ndarray:
-        x = xi / cutoffs[:, None]
-        d = x - 1.0
-        # ln(x)/(x - 1) -> 1 at x = 1, a node wherever omega_d = e^(j _STEP)
-        ratio = np.divide(np.log(x), d, out=np.ones_like(x), where=d != 0.0)
-        return ((2.0 * gamma_o / math.pi) * (x / (x + 1.0)) * ratio)[row]
+    def gamma_hat(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+        # ln(t)/(t - 1) = s/(t - 1) -> 1 at t = 1, always the node s = 0
+        ratio = np.divide(s, t - 1.0, out=np.ones_like(t), where=s != 0.0)
+        return ((2.0 * gamma_o / math.pi) * (t / (t + 1.0)) * ratio)[None, :]
 
-    scales = np.concatenate((omega_0.ravel(), cutoffs, [gamma_o]))
-    res = _imaginary_axis_k(gamma_hat, omega_0, scales, len(row), 1.0 / gamma_o, tol, max_evals)
+    scales = np.concatenate((omega_0.ravel(), omega_d.ravel(), [gamma_o]))
+    res = _imaginary_axis_k(gamma_hat, omega_0, omega_d, scales, 1.0 / gamma_o, tol, max_evals)
     return unpack(hbar * gamma_o / (2.0 * math.pi) * res.value)
 
 
 def k_extended_drude2_closed(
-    w0: float, Omega: float, gamma: float, hbar: float = 1.0
-) -> float:
+    w0: ArrayLike, Omega: ArrayLike, gamma: ArrayLike, hbar: float = 1.0
+) -> float | np.ndarray:
     """Closed-form second-law deficit for the weakly divergent (d,2) model.
 
     Stated directly in the (w0, Omega, gamma) parametrization; negative over
-    the physical parameter ranges.
+    the physical parameter ranges. Scalar parameters give a float; array-like
+    ones broadcast, each element taking its branch through np.where, and
+    equal the scalar calls element by element.
     """
-    if w0 <= 0 or Omega <= 0 or gamma < 0:
+    w0, Omega, gamma = (np.asarray(p, dtype=float) for p in (w0, Omega, gamma))
+    if np.any(w0 <= 0) or np.any(Omega <= 0) or np.any(gamma < 0):
         raise ValueError("w0, Omega must be positive and gamma nonnegative")
-    if gamma == 0.0:
-        return 0.0
-    delta = Omega * gamma - Omega * Omega - w0 * w0
-    scale = max(w0 * w0, Omega * Omega, Omega * gamma)
-    if abs(delta) < 2e-5 * scale:
-        # Removable singularity: C below vanishes together with delta, so
-        # evaluate C/delta as (1/Omega) dC/dgamma at the interval midpoint.
-        # That errs by about 4e-2 (delta/scale)^2, the direct form by about
-        # 4e-16 / (delta/scale) from cancellation in C; they cross near 2e-5.
-        gm = gamma - 0.5 * delta / Omega
-        at = specfun.arctan_ratio(w0, gm)
-        w1sq = w0 * w0 - 0.25 * gm * gm
-        if abs(w1sq) < 1e-10 * gm * gm:
-            dat = -2.0 / (3.0 * gm * gm) + 8.0 * w1sq / (5.0 * gm ** 4)
-        else:
-            dat = (gm * at - 2.0) / (4.0 * w1sq)
-        om0sq = Omega * gm + w0 * w0
-        dC = ((w0 * w0 - Omega * Omega) * (at + gm * dat)
-              - Omega * math.log(om0sq)
-              + (Omega * Omega + w0 * w0 - Omega * gm) * Omega / om0sq
-              + 2.0 * Omega * math.log(Omega))
-        pref = w0 * w0 / (Omega * gamma + w0 * w0)
-        return hbar / (2.0 * math.pi) * pref * dC
-    at = specfun.arctan_ratio(w0, gamma)  # (1/w1) arctan(2 w1/gamma), both regimes
-    C = (gamma * (w0 * w0 - Omega * Omega) * at
-         + (Omega * Omega + w0 * w0 - Omega * gamma) * math.log(Omega * gamma + w0 * w0)
-         - 2.0 * (Omega * Omega + w0 * w0) * math.log(w0)
-         + 2.0 * Omega * gamma * math.log(Omega))
-    pref = Omega * w0 * w0 / ((Omega * gamma + w0 * w0) * delta)
-    return hbar / (2.0 * math.pi) * pref * C
+    w0sq, om2, og = w0 * w0, Omega * Omega, Omega * gamma
+    delta = og - om2 - w0sq
+    # Removable singularity: C below vanishes together with delta, so
+    # evaluate C/delta as (1/Omega) dC/dgamma at the interval midpoint gm.
+    # That errs by about 4e-2 (delta/scale)^2, the direct form by about
+    # 4e-16 / (delta/scale) from cancellation in C; they cross near 2e-5.
+    near = np.abs(delta) < 2e-5 * np.maximum(np.maximum(w0sq, om2), og)
+    gm = gamma - 0.5 * delta / Omega
+    # each branch takes the ratio and the logarithms at its own gamma, g
+    g = np.where(near, gm, gamma)
+    at = specfun.arctan_ratio(w0, g)  # (1/w1) arctan(2 w1/gamma), both regimes
+    om0sq, rest = Omega * g + w0sq, om2 + w0sq - Omega * g
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_om0sq, log_omega = np.log(om0sq), np.log(Omega)
+        w1sq = w0sq - 0.25 * gm * gm
+        dat = np.where(np.abs(w1sq) < 1e-10 * gm * gm,
+                       -2.0 / (3.0 * gm * gm) + 8.0 * w1sq / (5.0 * gm ** 4),
+                       (gm * at - 2.0) / (4.0 * w1sq))
+        dC = ((w0sq - om2) * (at + gm * dat) - Omega * log_om0sq + rest * Omega / om0sq
+              + 2.0 * Omega * log_omega)
+        C = (gamma * (w0sq - om2) * at + rest * log_om0sq - 2.0 * (om2 + w0sq) * np.log(w0)
+             + 2.0 * Omega * gamma * log_omega)
+        pref = np.where(near, w0sq / (og + w0sq), Omega * w0 * w0 / ((og + w0sq) * delta))
+        k = np.where(gamma == 0.0, 0.0, hbar / (2.0 * math.pi) * pref * np.where(near, dC, C))
+    return float(k) if k.ndim == 0 else k
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +699,11 @@ def k_cont(
     return _continuous(model, omega_0, hbar, tol, max_evals)[0][_K]
 
 
+# the closed-form Drude K errs by about eps F(0)/K; above this ratio of F(0)
+# to K, thermo_report takes K from the imaginary-axis rule
+_DRUDE_RULE_ABOVE = 1e4
+
+
 def thermo_report(
     model: SpectralModel, M: float, omega_0: float,
     hbar: float = 1.0, tol: float = DEFAULT_TOL, max_evals: int = DEFAULT_MAX_EVALS,
@@ -706,7 +712,11 @@ def thermo_report(
     generic integral, or as divergence classes, with ``method`` naming
     which ran: "closed-form", "generic-quadrature" when an integral ran,
     or "divergence-classification" when the tail classes alone gave the
-    triple (Ohmic, and the members whose K diverges).
+    triple (Ohmic, and the members whose K diverges). Where the closed
+    form's K = F(0) - E_s(0) would keep fewer than about 12 digits
+    (F(0)/K > _DRUDE_RULE_ABOVE), K comes from the imaginary-axis rule with
+    gamma_hat = gamma_o/(1 + t), t = xi/omega_d, instead, and ``method`` is
+    "closed-form+imaginary-axis".
 
     ``error_estimate`` is the summed absolute error estimate of the
     integrals behind the reported numbers, in energy units; 0 for closed
@@ -722,6 +732,14 @@ def thermo_report(
     if isinstance(model, ExtendedDrude) and model.n == 0:
         es, f0 = _drude_es_f(omega_0, model.omega_d, model.gamma_o, hbar)
         k, err, method = f0 - es, 0.0, "closed-form"
+        if f0 > _DRUDE_RULE_ABOVE * k:  # also where K is lost in the rounding
+            gamma_o = model.gamma_o
+            res = _imaginary_axis_k(
+                lambda t, s: gamma_o / (1.0 + t), omega_0, np.array([[model.omega_d]]),
+                np.array([omega_0, model.omega_d, gamma_o]), hbar / (2.0 * math.pi), tol,
+                max_evals)
+            k, err = float(res.value[0]), float(res.abs_error_estimate[0])
+            method = "closed-form+imaginary-axis"
     else:
         (es, f0, k), err, method = _continuous(model, omega_0, hbar, tol, max_evals)
     k_norm = k / (0.5 * hbar * omega_0) if isinstance(k, float) else None

@@ -61,6 +61,21 @@ class TestReport:
             float(lines["K"]) / 0.5, rel=1e-8
         )
 
+    @pytest.mark.parametrize("model, omega0, k", [
+        # F(0)/K near 3e13: the closed form's K was 3.8e-3 off
+        ("drude g=4.47e-8 wd=2.29e-2", "124", "2.05984075e-12"),
+        # E_s(0) and F(0) are 5e99, and K = F - E_s is lost in their rounding
+        ("drude g=1 wd=1e100", "1e100", "0.0795774715"),
+    ])
+    def test_drude_k_from_the_rule_where_the_closed_form_cancels(self, model, omega0, k, capsys):
+        rc = main(["report", "--model", model, "--omega0", omega0])
+        out = capsys.readouterr().out
+        assert rc == 0
+        lines = dict(l.split(": ", 1) for l in out.strip().splitlines())
+        assert lines["K"] == k
+        assert lines["method"] == "closed-form+imaginary-axis"
+        assert float(lines["error_estimate"]) > 0.0
+
     @pytest.mark.parametrize("model, omega0", [
         ("exp g=1 we=5", "0.4"), ("xdrude g=1 wd=5 n=1", "1"), ("drude g=1 wd=5", "1"),
         ("xohmic g=1 p=2", "1"),
@@ -397,8 +412,6 @@ class TestBadValues:
         ["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"],
         # defect 15: a resonance narrower than a float, E_s(0) far below hbar omega_0/2
         ["report", "--model", "exp g=7.4 we=0.074", "--omega0", "4.5"],
-        # E_s(0) and F(0) are 5e99; K = F - E_s is lost in their rounding
-        ["report", "--model", "drude g=1 wd=1e100", "--omega0", "1e100"],
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

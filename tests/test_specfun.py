@@ -239,6 +239,39 @@ class TestArctanRatio:
                     v = specfun.arctan_ratio(w0, g)
                     assert v == pytest.approx(float(ref), rel=1e-14), (w0, g)
 
+    @staticmethod
+    def _assert_equals_scalar_calls(w0, g):
+        got = specfun.arctan_ratio(w0, g)
+        cells = np.broadcast_arrays(w0, g)
+        want = np.array([specfun.arctan_ratio(float(a), float(b))
+                         for a, b in zip(*(c.ravel() for c in cells))]).reshape(cells[0].shape)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))  # within 1 ulp
+
+    def test_array_matches_scalar_calls(self):
+        # the Fig. 1 ratios (w0 = 1, gamma = x on both sides of 2) and
+        # damping ratios from 1e-8 to 1e9, at three w0
+        self._assert_equals_scalar_calls(1.0, np.array([(10 + 5 * i) / 100.0 for i in range(59)]))
+        ratios = np.array([10.0 ** (k / 8) for k in range(-64, 73)] + [0.0])
+        w0 = np.array([0.37, 1.0, 300.0])[:, None]
+        self._assert_equals_scalar_calls(w0, ratios * w0)
+        self._assert_equals_scalar_calls(w0, 0.0)  # a float gamma = 0 against an array
+
+    def test_array_matches_scalar_calls_across_the_critical_point(self):
+        # the series inside |w1^2| < 1e-12 scale^2, atan2 and asinh outside
+        e = np.array([0.0, 1e-15, 1e-14, 1e-13, 5e-13, 1e-12, 1e-11, 1e-9, 1e-6, 1e-3])
+        for w0 in (0.37, 1.0, 300.0):
+            self._assert_equals_scalar_calls(w0, 2.0 * w0 * np.concatenate((1.0 - e, 1.0 + e)))
+
+    def test_array_raises_and_scalars_give_floats(self):
+        for w0, g in ((0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError, match="w0 > 0 and gamma >= 0"):
+                specfun.arctan_ratio(w0, g)
+            with pytest.raises(ValueError, match="w0 > 0 and gamma >= 0"):
+                specfun.arctan_ratio(np.array([1.0, w0]), np.array([1.0, g]))
+        for g in (0.5, 2.0, 3.0):
+            assert type(specfun.arctan_ratio(1.0, g)) is float
+
     @given(
         st.floats(min_value=0.05, max_value=20.0),
         st.floats(min_value=0.0, max_value=40.0),

@@ -36,7 +36,7 @@ from oscbath.spectral import (
     g_plus,
     parse_model,
 )
-from oscbath import thermo
+from oscbath import specfun, thermo
 
 
 class TestParameterMaps:
@@ -219,6 +219,31 @@ class TestDrudeConsistency:
         # far below their last digit: no sign of it is left to report
         with pytest.raises(ValueError, match="lost in the rounding"):
             thermo.k_drude_closed(1e100, 1e100, 1.0)
+
+    def test_models_ranges_keep_the_closed_form(self):
+        # gamma_o and omega_0 in [0.2, 5] and omega_d in [0.5, 50], the ranges
+        # of the benchmark's draws: F(0)/K stays below 700, far from the switch
+        ranges = (np.geomspace(0.2, 5.0, 5), np.geomspace(0.2, 5.0, 5), np.geomspace(0.5, 50.0, 5))
+        for gamma_o in ranges[0]:
+            for omega_0 in ranges[1]:
+                for omega_d in ranges[2]:
+                    rep = thermo.thermo_report(Drude(gamma_o, omega_d), 1.0, omega_0)
+                    assert rep.method == "closed-form" and rep.error_estimate == 0.0
+                    assert rep.K == thermo.k_drude_closed(omega_0, omega_d, gamma_o)
+                    assert rep.F0 < 700.0 * rep.K
+
+    # defect 11: F(0)/K near 3e13, 2.7e11 and 6e100; the first two closed
+    # forms were 3.8e-3 and 8.0e-6 off, and the last K lost in the rounding
+    @pytest.mark.parametrize("omega_0, omega_d, gamma_o, dps", [
+        (124.0, 2.29e-2, 4.47e-8, 50), (800.0, 2e4, 1e-8, 50), (1e100, 1e100, 1.0, 150),
+    ])
+    def test_rule_takes_k_where_the_closed_form_cancels(self, omega_0, omega_d, gamma_o, dps):
+        rep = thermo.thermo_report(Drude(gamma_o, omega_d), 1.0, omega_0)
+        reference = float(k_drude_closed_mp(omega_0, omega_d, gamma_o, dps=dps))
+        assert rep.method == "closed-form+imaginary-axis"
+        assert abs(rep.K - reference) <= rep.error_estimate < 1e-13 * reference
+        # E_s(0) and F(0) stay the closed forms
+        assert (rep.E_s0, rep.F0) == thermo._drude_es_f(omega_0, omega_d, gamma_o, 1.0)
 
 
 class TestExponential:
@@ -406,6 +431,40 @@ class TestImaginaryAxisRule:
         with pytest.raises(NonConvergence, match="error estimate"):
             thermo.k_extended_drude1(*self.TABLE2, tol=1e-17)
 
+    def test_aux_f_once_per_node(self, monkeypatch):
+        # every entry's nodes are its own omega_e times the shared t = e^(j h),
+        # so f takes one value per node however many distinct omega_e
+        sizes = []
+        aux_f = specfun.aux_f
+
+        def counting(z):
+            sizes.append(z.size)
+            return aux_f(z)
+
+        monkeypatch.setattr(specfun, "aux_f", counting)
+        results = self._recording(monkeypatch, "_imaginary_axis_k")
+        thermo.k_exponential(*self.TABLE1)
+        thermo.k_exponential(1.0, 5.0, 1.0)
+        assert sizes == [r.evaluations for r in results]
+
+    def test_tables_take_at_most_400_nodes(self, monkeypatch):
+        results = self._recording(monkeypatch, "_imaginary_axis_k")
+        thermo.k_exponential(*self.TABLE1)
+        thermo.k_extended_drude1(*self.TABLE2)
+        assert len(results) == 2
+        assert all(r.evaluations <= 400 for r in results)
+
+    @pytest.mark.parametrize("below, above", [(3.0, 14.0), (20.0, 3.0), (3.0, 3.0)])
+    def test_narrow_window_raises(self, monkeypatch, below, above):
+        # the end-term check is live: 3 e-folds leave end terms far above the
+        # rounding term at either end
+        monkeypatch.setattr(thermo, "_MARGIN_BELOW", below)
+        monkeypatch.setattr(thermo, "_MARGIN_ABOVE", above)
+        with pytest.raises(NonConvergence, match="end term"):
+            thermo.k_exponential(*self.TABLE1)
+        with pytest.raises(NonConvergence, match="end term"):
+            thermo.k_extended_drude1(*self.TABLE2)
+
     def test_budget_and_tol_raise(self):
         with pytest.raises(NonConvergence, match="nodes > max_evals 100"):
             thermo.k_exponential(1.0, 1.0, 1.0, max_evals=100)
@@ -580,6 +639,36 @@ class TestExtendedDrude2:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             thermo.k_extended_drude2_closed(-1.0, 1.0, 1.0)
+
+    @staticmethod
+    def _assert_equals_scalar_calls(w0, Om, g):
+        got = thermo.k_extended_drude2_closed(w0, Om, g)
+        cells = np.broadcast_arrays(w0, Om, g)
+        want = np.array([thermo.k_extended_drude2_closed(*map(float, p)) for p in zip(
+            *(c.ravel() for c in cells))]).reshape(cells[0].shape)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))  # within 1 ulp
+
+    def test_array_matches_scalar_calls_on_the_figure(self):
+        x = np.array([(10 + 5 * i) / 100.0 for i in range(59)])
+        self._assert_equals_scalar_calls(1.0, np.array([2.0, 5.0, 10.0])[:, None], x)
+
+    def test_array_matches_scalar_calls_across_the_singular_set(self):
+        # both branches around Omega gamma = Omega^2 + w0^2, and gamma = 0
+        for w0, Om in [(0.3, 1.0), (1.0, 2.0), (1.0, 0.5), (1.0, 10.0), (2.0, 1.0)]:
+            g_c = (Om * Om + w0 * w0) / Om
+            e = np.array([0.0, 1e-8, 1e-6, 1e-5, 2e-5, 5e-5, 1e-3])
+            g = np.concatenate((g_c * (1.0 - e), g_c * (1.0 + e), [0.0]))
+            self._assert_equals_scalar_calls(np.full_like(g, w0), Om, g)
+
+    def test_array_raises_and_scalars_give_floats(self):
+        for bad in ((-1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)):
+            with pytest.raises(ValueError, match="w0, Omega must be positive"):
+                thermo.k_extended_drude2_closed(*bad)
+            with pytest.raises(ValueError, match="w0, Omega must be positive"):
+                thermo.k_extended_drude2_closed(*(np.array([1.0, v]) for v in bad))
+        assert type(thermo.k_extended_drude2_closed(1.0, 2.0, 1.0)) is float
+        assert type(thermo.k_extended_drude2_closed(1.0, 2.0, 0.0)) is float
 
 
 class TestOhmic:
@@ -1068,9 +1157,9 @@ class TestOpenDefects:
     def test_lambda_forms_resolve_narrow_resonances(self, entry, args, reference):
         assert entry(*args) == pytest.approx(reference, rel=1e-4)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "defect 11: the Drude closed form takes K as F(0) - E_s(0), both near "
-        "400 here, and loses 8.0e-6 of K = 1.5e-9 with error_estimate 0"))
+    # defect 11, mended: the closed form takes K as F(0) - E_s(0), both near
+    # 400 here, and lost 8.0e-6 of K = 1.5e-9 with error_estimate 0; the
+    # report now takes K from the imaginary-axis rule
     def test_drude_closed_form_keeps_k_at_weak_coupling(self):
         rep = thermo.thermo_report(Drude(1e-8, 2e4), 1.0, 800.0)
         reference = float(k_drude_closed_mp(800.0, 2e4, 1e-8))
