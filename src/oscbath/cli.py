@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
@@ -36,23 +38,29 @@ def _fig1_x_grid() -> list[float]:
     return [(10 + 5 * i) / 100.0 for i in range(59)]
 
 
-def _emit(rows: list[list[str]], header: list[str], fmt: str, out_path: str | None) -> None:
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-    else:
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        ] + ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
+def _emit(header: list[str], rows: list[tuple], fmt: str, out_path: str | None) -> None:
+    """Numeric rows, one ``%.9g`` format string each; ``table`` aligns the same cells."""
+    row_fmt = ",".join(["%.9g"] * len(header))
+    lines = [",".join(header)] + [row_fmt % r for r in rows]
+    if fmt == "table":
+        cells = [line.split(",") for line in lines]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in cells]
     _write("\n".join(lines) + "\n", out_path)
+
+
+def _in_place(path: str, flags: int) -> int:
+    # open(path, "w") truncates on open, which can cost more than the write
+    # itself; open's flags already carry O_BINARY where it exists
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "w", newline="\n", opener=_in_place) as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # ftruncate fails on devices
+                fh.truncate()
     else:
         sys.stdout.write(text)
 
@@ -104,11 +112,11 @@ def table1_grid(
 def cmd_table1(args: argparse.Namespace) -> int:
     header = ["omega_e"] + [f"g{g:g}" for g in TABLE1_GAMMA]
     rows = [
-        [_fmt(we)] + [_fmt(v) for v in vals]
+        (we, *vals)
         for we, vals in zip(TABLE1_OMEGA_E, table1_grid(args.hbar, args.tol, args.max_evals))
     ]
-    rows.append(["inf"] + [_fmt(g / math.pi) for g in TABLE1_GAMMA])
-    _emit(rows, header, args.format, args.out)
+    rows.append((math.inf, *(g / math.pi for g in TABLE1_GAMMA)))  # prints as "inf"
+    _emit(header, rows, args.format, args.out)
     return 0
 
 
@@ -134,11 +142,7 @@ def table2_grid(
 
 def cmd_table2(args: argparse.Namespace) -> int:
     header = ["omega0", "omega_d", "Kd_norm", "Kd1_norm"]
-    rows = [
-        [_fmt(w0), _fmt(wd), _fmt(a), _fmt(b)]
-        for w0, wd, a, b in table2_grid(args.hbar, args.tol, args.max_evals)
-    ]
-    _emit(rows, header, args.format, args.out)
+    _emit(header, table2_grid(args.hbar, args.tol, args.max_evals), args.format, args.out)
     return 0
 
 
@@ -148,17 +152,15 @@ def fig1_grid(hbar: float) -> list[tuple[float, float, float]]:
     w0 = 1, gamma = x, E_g = (hbar/2) sqrt(Omega gamma + w0^2); one closed-form
     call on the whole (ratio, x) grid.
     """
-    x = np.array(_fig1_x_grid())
-    ratio = np.array(FIG1_RATIOS)[:, None]
+    xs = _fig1_x_grid()
+    x, ratio = np.array(xs), np.array(FIG1_RATIOS)[:, None]
     k = thermo.k_extended_drude2_closed(1.0, ratio, x, hbar=hbar)
     k_norm = (k / (0.5 * hbar * np.sqrt(ratio * x + 1.0))).tolist()
-    return [(xi, r, v) for r, row in zip(FIG1_RATIOS, k_norm) for xi, v in zip(x.tolist(), row)]
+    return [(xi, r, v) for r, row in zip(FIG1_RATIOS, k_norm) for xi, v in zip(xs, row)]
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    header = ["x", "Omega_over_w0", "K_over_Eg"]
-    rows = [[_fmt(x), _fmt(r), _fmt(v)] for x, r, v in fig1_grid(args.hbar)]
-    _emit(rows, header, args.format, args.out)
+    _emit(["x", "Omega_over_w0", "K_over_Eg"], fig1_grid(args.hbar), args.format, args.out)
     return 0
 
 
@@ -352,10 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (NonConvergence, Inconclusive, ValueError, ArithmeticError) as exc:
+    except (NonConvergence, Inconclusive, ValueError, ArithmeticError, OSError) as exc:
         # ValueError covers bad input: InvalidModel, UnsupportedKernel,
         # DegenerateBath, BathParseError and values out of range;
-        # ArithmeticError a bath whose potential matrix is not positive definite
+        # ArithmeticError a bath whose potential matrix is not positive
+        # definite; OSError an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import argparse
+import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -12,7 +14,11 @@ import pytest
 
 import goldens
 from oscbath import thermo
-from oscbath.cli import _build_parser, main, parse_model
+from oscbath.cli import (
+    TABLE1_GAMMA, TABLE1_OMEGA_E, _build_parser, fig1_grid, main, parse_model, table1_grid,
+    table2_grid,
+)
+from oscbath.quadrature import DEFAULT_TOL
 
 GOOD_BATH = """\
 M 1.0
@@ -242,6 +248,72 @@ class TestGrids:
         capsys.readouterr()
         assert path.read_text() == via_stdout
 
+    @pytest.mark.parametrize("hbar", ["0.4", "1", "1.3"])
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("command", ["table1", "table2", "fig1"])
+    def test_cells_format_as_9g(self, command, fmt, hbar, tmp_path, capsys):
+        # a reference built cell by cell from the grid functions
+        h = float(hbar)
+        if command == "table1":
+            header = ["omega_e"] + [f"g{g:g}" for g in TABLE1_GAMMA]
+            rows = [[we, *vals] for we, vals in zip(TABLE1_OMEGA_E, table1_grid(h, DEFAULT_TOL))]
+            rows.append([math.inf] + [g / math.pi for g in TABLE1_GAMMA])
+        elif command == "table2":
+            header = ["omega0", "omega_d", "Kd_norm", "Kd1_norm"]
+            rows = table2_grid(h, DEFAULT_TOL)
+        else:
+            header = ["x", "Omega_over_w0", "K_over_Eg"]
+            rows = fig1_grid(h)
+        cells = [header] + [[f"{v:.9g}" for v in row] for row in rows]
+        if fmt == "csv":
+            want = "".join(",".join(r) + "\n" for r in cells)
+        else:
+            widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
+            want = "".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) + "\n"
+                           for r in cells)
+        argv = [command, "--format", fmt, "--hbar", hbar]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        path = tmp_path / "grid.txt"
+        path.write_text("#" * 65536)
+        assert main(argv + ["--out", str(path)]) == 0
+        assert path.read_text() == want
+
+
+class TestOutFile:
+    # the grids are checked over a longer file by TestGrids::test_cells_format_as_9g
+    @pytest.mark.parametrize("argv", [
+        ["report", "--model", "drude g=1 wd=5", "--omega0", "1"],
+        ["discrete", "bath.txt"],
+    ])
+    def test_rewrites_a_longer_file_in_place(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bath.txt").write_text(GOOD_BATH)
+        assert main(argv) == 0
+        via_stdout = capsys.readouterr().out
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"#" * 65536)
+        assert main(argv + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == via_stdout.encode()
+
+    def test_device_is_not_truncated(self, capsys):
+        assert main(["fig1", "--out", os.devnull]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_file_mode_follows_the_umask(self, mask, tmp_path, capsys):
+        old = os.umask(mask)
+        try:
+            with open(tmp_path / "reference.txt", "w"):
+                pass
+            assert main(["fig1", "--out", str(tmp_path / "fig1.csv")]) == 0
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        mode = os.stat(tmp_path / "fig1.csv").st_mode
+        assert stat.S_IMODE(mode) == stat.S_IMODE(os.stat(tmp_path / "reference.txt").st_mode)
+
 
 class TestDiscrete:
     def test_bath_file_report(self, tmp_path, capsys):
@@ -412,11 +484,19 @@ class TestBadValues:
         ["report", "--model", "drude g=1 wd=1e200", "--omega0", "1"],
         # defect 15: a resonance narrower than a float, E_s(0) far below hbar omega_0/2
         ["report", "--model", "exp g=7.4 we=0.074", "--omega0", "4.5"],
+        # an --out path that cannot be written
+        ["table1", "--out", "missing/x.csv"],
+        ["fig1", "--out", "."],
+        pytest.param(["fig1", "--out", "READ_ONLY.csv"], marks=pytest.mark.skipif(
+            hasattr(os, "geteuid") and os.geteuid() == 0,
+            reason="root writes through a file's mode bits")),
     ])
     def test_exits_1_without_traceback(self, argv, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for name, text in BAD_BATHS.items():
             (tmp_path / name).write_text(text)
+        (tmp_path / "READ_ONLY.csv").write_text("")
+        (tmp_path / "READ_ONLY.csv").chmod(0o444)
         rc = main(argv)
         captured = capsys.readouterr()
         assert rc == 1
