@@ -5,9 +5,9 @@ The package computes the excess system energy E_s(0), the coupling free
 energy F(0), and the second-law deficit K = F(0) - E_s(0) for discrete baths
 (exactly, by normal modes and residues) and for five continuous damping
 families (Ohmic, Drude, exponential cutoff, extended Ohmic, extended Drude),
-with closed forms, special one-dimensional integrands, and generic adaptive
-quadrature cross-checking each other. A continuous-bath report takes all
-three numbers from one generic integral, or from the Drude closed form.
+with closed forms, real-axis quadrature and an imaginary-axis trapezoid rule
+cross-checking each other. A report takes all three numbers from one generic
+integral, or from the Drude closed form (K from the rule where it cancels).
 """
 
 from .discrete import (

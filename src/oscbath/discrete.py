@@ -219,6 +219,10 @@ def normal_modes(bath: DiscreteBath) -> NormalModes:
     n = bath.n
     d, z = _secular(bath)
     top = d[-1] + math.fsum(z)  # sum rule: the largest root lies below this
+    if not top - d[-1] < 2.0 ** 508:  # the step squares twice the top bracket's width
+        j = int(np.argmax(z))
+        raise ValueError(f"{f'oscillator {j}: c^2/(m omega^2 M)' if j else 'omega_0^2'} = "
+                         f"{z[j]:.6g} is out of range: the secular step's squares overflow")
     edges = np.sqrt(np.append(d, top))
     narrow = np.flatnonzero(np.diff(edges) < 1e-13 * max(bath.omega_0, edges[-2]))
     if narrow.size:

@@ -1,8 +1,7 @@
-"""Continuous damping families: the validity of each family and the boundary
-value gamma_plus(w) of its frequency-domain damping kernel.
-
-Every gamma_plus is a closed form, resolved once per model by
-:func:`boundary_kernel`; nothing here integrates.
+"""Continuous damping families: the validity of each family and its damping
+kernel on both contours, each a closed form written once here and resolved
+once per model: gamma_plus(w) on the real axis (:func:`boundary_kernel`) and
+gamma_hat(xi) = gamma_plus(i xi) on the imaginary axis (:func:`imaginary_axis_kernel`).
 
 Three families are written out: exponential cutoff, extended Ohmic with an
 extra power (omega/gamma_o)^p, and extended Drude with an extra power
@@ -39,6 +38,7 @@ __all__ = [
     "UnsupportedKernel",
     "classify_model",
     "boundary_kernel",
+    "imaginary_axis_kernel",
     "gamma_plus",
     "gamma_plus_derivative",
     "g_plus",
@@ -192,6 +192,16 @@ def _tail_signs(model: SpectralModel) -> tuple:
     return "+", "-", "-"
 
 
+def _kernel_law(model: SpectralModel) -> tuple[float, float, list[float]]:
+    """:func:`_law` of a member whose kernel is a function, else raises."""
+    power, last, cutoffs = _law(model)
+    if power > last:
+        if power % 2 == 1:
+            raise InvalidModel(str(classify_model(model)))
+        raise UnsupportedKernel(f"{model!r}: gamma_plus carries a delta(0) weight")
+    return power, last, cutoffs
+
+
 def boundary_kernel(model: SpectralModel) -> Callable:
     """The model's damping kernel at the real axis, resolved once.
 
@@ -201,20 +211,15 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     closure does not check ``w > 0``. Re gamma_plus = J(w)/(M w); the
     imaginary part is the principal-value transform of J. Exponential and
     extended Drude n = 1 have closures of their own; the rest are
-    c0 + sign g omega_d/(omega_d - i w), with (c0, sign) = (0, +1) for
-    Drude n = 0, (g, -1) for n = 2, the terms of
-    x^2q/(1 + x^2) = sum_{k<q} (-1)^(q-1-k) x^2k + (-1)^q/(1 + x^2), and
-    (g, 0) for Ohmic, the constant g.
+    c0 + sign g omega_d/(omega_d - i w): (c0, sign) = (0, +1) for Drude,
+    (g, -1) for n = 2, from x^2/(1 + x^2) = 1 - 1/(1 + x^2), and (g, 0) for
+    Ohmic, the constant g.
 
     Raises InvalidModel for a distributional kernel, and UnsupportedKernel
     for the members that carry a delta(0) weight (even extended Ohmic
     p >= 2, even extended Drude n >= 4): only their tail classes are defined.
     """
-    power, last, cutoffs = _law(model)
-    if power > last:
-        if power % 2 == 1:
-            raise InvalidModel(str(classify_model(model)))
-        raise UnsupportedKernel(f"{model!r}: gamma_plus carries a delta(0) weight")
+    power, last, cutoffs = _kernel_law(model)
     g = model.gamma_o
     if last == math.inf:
         we = cutoffs[0]
@@ -255,6 +260,24 @@ def boundary_kernel(model: SpectralModel) -> Callable:
     return drude
 
 
+def imaginary_axis_kernel(model: SpectralModel) -> Callable:
+    """gamma_hat(xi) = gamma_plus(i xi), the model's damping kernel on the
+    imaginary axis, real and positive; chosen, and raising, as
+    :func:`boundary_kernel`. A closure ``(gamma_o, t, s)`` of 1-D t =
+    xi/cutoff and s = ln t; ``gamma_o`` is a float or an (entries, 1) column."""
+    power, last, cutoffs = _kernel_law(model)
+    if last == math.inf:
+        return lambda g, t, s: ((2.0 / math.pi) * g) * specfun.aux_f(t)
+    if power == 1:  # ln(t)/(t - 1) = s/(t - 1) -> 1 at t = 1, where s = 0 exactly
+        return lambda g, t, s: (2.0 * g / math.pi) * (t / (t + 1.0)) * np.divide(
+            s, t - 1.0, out=np.ones_like(t), where=s != 0.0)
+    if not cutoffs:  # Ohmic: t in any unit
+        return lambda g, t, s: g
+    if power == 0:
+        return lambda g, t, s: g / (1.0 + t)
+    return lambda g, t, s: g * (t / (1.0 + t))  # n = 2: not g - g/(1 + t), eps/t off
+
+
 def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:
     """(gamma_plus, gamma_plus') at one frequency."""
     gp, dgp = boundary_kernel(model)(_require_positive("omega", omega))
@@ -262,11 +285,7 @@ def _kernel_at(model: SpectralModel, omega: float) -> tuple[complex, complex]:
 
 
 def gamma_plus(model: SpectralModel, M: float, omega: float) -> complex:
-    """Boundary value of the frequency-domain damping kernel, closed forms.
-
-    One value of ``boundary_kernel(model)``; raises UnsupportedKernel for
-    the delta(0)-carrying members.
-    """
+    """gamma_plus(omega): one value of ``boundary_kernel(model)``."""
     return _kernel_at(model, omega)[0]
 
 

@@ -5,14 +5,12 @@ energy F(0), and the second-law deficit K for any valid damping family.
 Its four entry points (:func:`system_energy_0_cont`,
 :func:`free_energy_0_cont`, :func:`k_cont` and :func:`thermo_report`) take
 their values from one E_s/F/K triple per model. Each column's tail class
-follows from the member's large-omega law, stated once in ``spectral``: a
-divergent column keeps its class, and the rest are integrated as one
-shared-panel integral. :func:`thermo_report` takes the Drude model from its
-closed form instead, and its K from the rule below where that form cancels.
-Closed forms for the Drude family, and a trapezoid rule on the imaginary
-frequency axis for the exponential-cutoff and extended-Drude n = 1 models
-(:func:`k_exponential`, :func:`k_extended_drude1`), compute the tables and
-serve as independent references for K.
+follows from the member's large-omega law, and each damping kernel comes
+from ``spectral``: a divergent column keeps its class, and the rest are
+integrated as one shared-panel integral. :func:`thermo_report` takes the
+Drude model from its closed form instead, and its K from the trapezoid rule
+on the imaginary axis where that form cancels; the rule also computes the
+tables (:func:`k_exponential`, :func:`k_extended_drude1`).
 
 Closed Drude-family forms are written in regime-free real arithmetic
 (through :func:`specfun.arctan_ratio`), so a single expression serves both
@@ -40,6 +38,7 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 from .spectral import (
+    Exponential,
     ExtendedDrude,
     ModelStatus,
     SpectralModel,
@@ -48,6 +47,7 @@ from .spectral import (
     _tail_signs,
     boundary_kernel,
     classify_model,
+    imaginary_axis_kernel,
 )
 # unused here, kept as module attributes: perfbench/tracer.py patches them
 from .quadrature import classify_tail  # noqa: F401
@@ -351,7 +351,7 @@ def _k_terms(xi: np.ndarray, gamma_hat: np.ndarray, omega_0) -> np.ndarray:
 
 
 def _imaginary_axis_k(
-    gamma_hat: Callable, omega_0, anchors: np.ndarray, scales: np.ndarray, scale: float,
+    kernel: Callable, gamma_o, omega_0, anchors: np.ndarray, scale: float,
     tol: float, max_evals: int,
 ) -> IntegralResult:
     """scale * int_0^inf k(xi) dxi for each entry, k of :func:`_k_terms`.
@@ -359,11 +359,11 @@ def _imaginary_axis_k(
     The zeros of k lie off the strip |Im s| < pi/2 of s = ln xi, so the
     trapezoid rule in s converges like exp(-pi^2/h) however narrow a
     resonance (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). Entry i's
-    nodes are xi = a_i e^s, s = j _STEP: a_i is its row of the (entries, 1)
-    column ``anchors``, and one range of j reaches the margins past the
-    ``scales`` for every entry. ``gamma_hat`` maps a block of t = e^s and s
-    (1-D) to an array that broadcasts against (entries, nodes); ``omega_0``
-    is a float or an (entries, 1) column.
+    nodes are xi = a_i e^s, s = j _STEP: a_i is its cutoff, a row of the
+    (entries, 1) column ``anchors``, and one range of j reaches the margins
+    past omega_0, the anchors and gamma_o for every entry. ``kernel`` is a
+    :func:`spectral.imaginary_axis_kernel`, given ``gamma_o``, t = e^s and s;
+    ``gamma_o`` and ``omega_0`` are floats or (entries, 1) columns.
 
     Returns the values, of shape (entries,), their error estimates
     |T(h) - T(2h)|, T(2h) from the even nodes, plus _ROUNDING_ULPS ulps of
@@ -372,11 +372,13 @@ def _imaginary_axis_k(
     window is not negligible against the value, and ValueError when a scale
     is not positive and finite or the square of a node under- or overflows.
     """
-    if not ((scales > 0.0) & (scales < math.inf)).all():
+    scales = np.concatenate([np.ravel(p) for p in (omega_0, anchors, gamma_o)])
+    smallest, largest = scales.min(), scales.max()
+    if not (0.0 < smallest and largest < math.inf):  # a NaN fails too
         raise ValueError("omega_0, the cutoffs and gamma_o must be positive and finite")
     ln_a = np.log(anchors)
-    lo = math.floor((math.log(scales.min()) - _MARGIN_BELOW - ln_a.max()) / _STEP)
-    hi = math.ceil((math.log(scales.max()) + _MARGIN_ABOVE - ln_a.min()) / _STEP)
+    lo = math.floor((math.log(smallest) - _MARGIN_BELOW - ln_a.max()) / _STEP)
+    hi = math.ceil((math.log(largest) + _MARGIN_ABOVE - ln_a.min()) / _STEP)
     if hi - lo + 1 > max_evals:
         raise NonConvergence(f"the imaginary-axis rule needs {hi - lo + 1} nodes > max_evals "
                              f"{max_evals}", IntegralResult(math.nan, math.inf, 0, False))
@@ -389,7 +391,7 @@ def _imaginary_axis_k(
     full = even = 0.0
     for b in range(0, len(t), width):
         block = slice(b, b + width)
-        k = _k_terms(anchors * t[block], gamma_hat(t[block], s[block]), omega_0)
+        k = _k_terms(anchors * t[block], kernel(gamma_o, t[block], s[block]), omega_0)
         if b == 0:
             ends = k[:, 0].copy()
         # along the contiguous axis numpy sums pairwise
@@ -417,26 +419,19 @@ def k_exponential(
 ) -> float | np.ndarray:
     """Second-law deficit for the exponentially cut-off model.
 
-    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) f(xi/omega_e), with
-    f the auxiliary function of the sine and cosine integrals
-    (:func:`specfun.aux_f`), and K comes from the trapezoid rule of
-    :func:`_imaginary_axis_k`; ``tol`` bounds its error estimate of K itself
-    and ``max_evals`` its node count.
+    K comes from the trapezoid rule of :func:`_imaginary_axis_k` over the
+    family's kernel from ``spectral`` (:func:`spectral.imaginary_axis_kernel`);
+    ``tol`` bounds its error estimate of K itself and ``max_evals`` its node
+    count.
 
     Scalar ``omega_e`` and ``gamma_o`` give a float. Array-like ones
     broadcast against each other into entries with nodes anchored at their
-    own omega_e, so f(t) is evaluated once per node, however many distinct
-    omega_e there are; the result is an ndarray of the broadcast shape.
+    own omega_e, so the kernel's f(t) is evaluated once per node, however
+    many distinct omega_e there are; the result is an ndarray of the broadcast shape.
     """
     (omega_e, gamma_o), unpack = _entries(omega_e, gamma_o)
-    coupling = (2.0 / math.pi) * gamma_o
-
-    def gamma_hat(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return coupling * specfun.aux_f(t)
-
-    scales = np.concatenate(([omega_0], omega_e.ravel(), gamma_o.ravel()))
-    res = _imaginary_axis_k(gamma_hat, omega_0, omega_e, scales, hbar / (2.0 * math.pi), tol,
-                            max_evals)
+    res = _imaginary_axis_k(imaginary_axis_kernel(Exponential(1.0, 1.0)), gamma_o, omega_0,
+                            omega_e, hbar / (2.0 * math.pi), tol, max_evals)
     return unpack(res.value)
 
 
@@ -457,23 +452,17 @@ def k_extended_drude1(
 ) -> float | np.ndarray:
     """Second-law deficit for the extended Drude model with one extra power.
 
-    On the imaginary axis gamma_hat(xi) = (2 gamma_o/pi) t ln(t)/(t^2 - 1)
-    with t = xi/omega_d, gamma_o/pi at t = 1, and K comes from the
-    trapezoid rule of :func:`_imaginary_axis_k`; ``tol`` bounds its error
-    estimate of K / (hbar gamma_o / 2 pi) and ``max_evals`` its node count.
+    K comes from the trapezoid rule of :func:`_imaginary_axis_k` over the
+    member's kernel from ``spectral`` (:func:`spectral.imaginary_axis_kernel`);
+    ``tol`` bounds its error estimate of K / (hbar gamma_o / 2 pi) and
+    ``max_evals`` its node count.
     Scalar ``omega_0`` and ``omega_d`` give a float; array-like ones
     broadcast into entries whose nodes are anchored at their own omega_d, so
-    that gamma_hat(t) is evaluated once per node, as in :func:`k_exponential`.
+    that the kernel is evaluated once per node, as in :func:`k_exponential`.
     """
     (omega_0, omega_d), unpack = _entries(omega_0, omega_d)
-
-    def gamma_hat(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        # ln(t)/(t - 1) = s/(t - 1) -> 1 at t = 1, always the node s = 0
-        ratio = np.divide(s, t - 1.0, out=np.ones_like(t), where=s != 0.0)
-        return ((2.0 * gamma_o / math.pi) * (t / (t + 1.0)) * ratio)[None, :]
-
-    scales = np.concatenate((omega_0.ravel(), omega_d.ravel(), [gamma_o]))
-    res = _imaginary_axis_k(gamma_hat, omega_0, omega_d, scales, 1.0 / gamma_o, tol, max_evals)
+    res = _imaginary_axis_k(imaginary_axis_kernel(ExtendedDrude(1.0, 1.0, 1)), gamma_o, omega_0,
+                            omega_d, 1.0 / gamma_o, tol, max_evals)
     return unpack(hbar * gamma_o / (2.0 * math.pi) * res.value)
 
 
@@ -714,9 +703,9 @@ def thermo_report(
     or "divergence-classification" when the tail classes alone gave the
     triple (Ohmic, and the members whose K diverges). Where the closed
     form's K = F(0) - E_s(0) would keep fewer than about 12 digits
-    (F(0)/K > _DRUDE_RULE_ABOVE), K comes from the imaginary-axis rule with
-    gamma_hat = gamma_o/(1 + t), t = xi/omega_d, instead, and ``method`` is
-    "closed-form+imaginary-axis".
+    (F(0)/K > _DRUDE_RULE_ABOVE), K comes from the imaginary-axis rule over
+    the kernel of :func:`spectral.imaginary_axis_kernel` instead, and
+    ``method`` is "closed-form+imaginary-axis".
 
     ``error_estimate`` is the summed absolute error estimate of the
     integrals behind the reported numbers, in energy units; 0 for closed
@@ -729,15 +718,13 @@ def thermo_report(
     below hbar omega_0/2 (see :func:`_continuous`).
     """
     _require_system(M, omega_0)
-    if isinstance(model, ExtendedDrude) and model.n == 0:
+    if _law(model)[:2] == (0, 2):  # Drude
         es, f0 = _drude_es_f(omega_0, model.omega_d, model.gamma_o, hbar)
         k, err, method = f0 - es, 0.0, "closed-form"
         if f0 > _DRUDE_RULE_ABOVE * k:  # also where K is lost in the rounding
-            gamma_o = model.gamma_o
             res = _imaginary_axis_k(
-                lambda t, s: gamma_o / (1.0 + t), omega_0, np.array([[model.omega_d]]),
-                np.array([omega_0, model.omega_d, gamma_o]), hbar / (2.0 * math.pi), tol,
-                max_evals)
+                imaginary_axis_kernel(model), model.gamma_o, omega_0, np.array([[model.omega_d]]),
+                hbar / (2.0 * math.pi), tol, max_evals)
             k, err = float(res.value[0]), float(res.abs_error_estimate[0])
             method = "closed-form+imaginary-axis"
     else:

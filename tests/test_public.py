@@ -32,7 +32,7 @@ def test_continuous_modules_export_only_what_the_program_calls():
         "Drude", "Exponential", "ExtendedDrude", "ExtendedOhmic", "InvalidModel",
         "ModelStatus", "Ohmic", "SpectralModel", "StatusTag", "UnsupportedKernel",
         "boundary_kernel", "classify_model", "g_plus", "gamma_plus",
-        "gamma_plus_derivative", "parse_model",
+        "gamma_plus_derivative", "imaginary_axis_kernel", "parse_model",
     ]
     assert sorted(thermo.__all__) == [
         "DrudeParams", "EnergyOrDivergent", "ThermoReport", "drude_params_from_physical",

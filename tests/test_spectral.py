@@ -3,6 +3,7 @@ and validity classification."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from oscbath.spectral import (
     g_plus,
     gamma_plus,
     gamma_plus_derivative,
+    imaginary_axis_kernel,
     parse_model,
 )
 
@@ -191,6 +193,60 @@ class TestBoundaryKernel:
         for w in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError):
                 gamma_plus(Drude(1.0, 1.0), 1.0, w)
+
+
+class TestImaginaryAxisKernel:
+    """gamma_hat(xi) = gamma_plus(i xi): each member's kernel on the imaginary
+    axis continues its real-axis kernel, for xi from e^-20 to e^14 times the
+    cutoff on the trapezoid rule's step in s = ln(xi/cutoff)."""
+
+    S = np.arange(-160, 113) / 8.0
+    EPS = np.finfo(float).eps
+
+    def _both(self, model, cutoff, s=S):
+        t = np.exp(s)
+        hat = np.broadcast_to(imaginary_axis_kernel(model)(model.gamma_o, t, s), t.shape)
+        return t, hat, boundary_kernel(model)(1j * (cutoff * t))[0]
+
+    def test_drude_and_ohmic(self):
+        t, hat, gp = self._both(Drude(1.7, 2.0), 2.0)
+        np.testing.assert_array_equal(hat, 1.7 / (1.0 + t))
+        assert np.all(np.abs(gp - hat) <= 4.0 * self.EPS * hat)
+        t, hat, gp = self._both(Ohmic(1.7), 1.0)
+        np.testing.assert_array_equal(gp, hat)
+
+    def test_extended_drude_1(self):
+        # the real-axis form divides 0/0 at t = 1, where the kernel takes its
+        # limit gamma_o/pi
+        model = ExtendedDrude(1.7, 2.0, 1)
+        assert imaginary_axis_kernel(model)(1.7, np.ones(1), np.zeros(1)) == pytest.approx(
+            [1.7 / math.pi], rel=1e-15)
+        t, hat, gp = self._both(model, 2.0, self.S[self.S != 0.0])
+        assert np.all(np.abs(gp - hat) <= 16.0 * self.EPS * hat)
+
+    def test_extended_drude_2(self):
+        # the real-axis form g - g omega_d/(omega_d + xi) cancels to about
+        # eps g below the cutoff, where the kernel g t/(1 + t) keeps its digits
+        t, hat, gp = self._both(ExtendedDrude(1.7, 2.0, 2), 2.0)
+        np.testing.assert_array_equal(hat, 1.7 * (t / (1.0 + t)))
+        assert np.all(np.abs(gp - hat) <= 2.0 * self.EPS * 1.7)
+
+    def test_exponential_against_mpmath(self):
+        # (2 gamma_o/pi)(Ci(t) sin t - si(t) cos t), si = Si - pi/2, at 30 digits
+        g, t = 1.7, np.exp(self.S)
+        hat = imaginary_axis_kernel(Exponential(g, 3.0))(g, t, self.S)
+        with mp.workdps(30):
+            ref = [2 * mp.mpf(g) / mp.pi * (mp.ci(z) * mp.sin(z) - (mp.si(z) - mp.pi / 2)
+                                            * mp.cos(z)) for z in map(mp.mpf, t)]
+            worst = max(abs(mp.mpf(float(h)) / r - 1) for h, r in zip(hat, ref))
+        assert worst <= 4.0 * self.EPS
+
+    def test_validity_as_the_boundary_kernel(self):
+        with pytest.raises(InvalidModel):
+            imaginary_axis_kernel(ExtendedDrude(1.0, 1.0, 3))
+        for m in (ExtendedOhmic(1.0, 2), ExtendedOhmic(1.0, 4), ExtendedDrude(1.0, 2.0, 4)):
+            with pytest.raises(UnsupportedKernel):
+                imaginary_axis_kernel(m)
 
 
 class TestGPlus:

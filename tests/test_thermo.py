@@ -416,7 +416,8 @@ class TestImaginaryAxisRule:
         monkeypatch.setattr(thermo, "_k_terms", recording)
         k = thermo.k_extended_drude1(1.0, 1.0, 2.0)
         xi, gamma_hat = calls[0]
-        assert gamma_hat[0, np.flatnonzero(xi == 1.0)] == pytest.approx([2.0 / math.pi], rel=1e-15)
+        at_one = np.broadcast_to(gamma_hat, xi.shape)[xi == 1.0]
+        assert at_one == pytest.approx([2.0 / math.pi], rel=1e-15)
         for wd in (math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)):
             assert thermo.k_extended_drude1(1.0, wd, 2.0) == pytest.approx(k, rel=1e-14)
 
@@ -464,6 +465,29 @@ class TestImaginaryAxisRule:
             thermo.k_exponential(*self.TABLE1)
         with pytest.raises(NonConvergence, match="end term"):
             thermo.k_extended_drude1(*self.TABLE2)
+
+    # the log-uniform ranges of gamma_o, omega_0 and the cutoff of the
+    # benchmark's models workload
+    MODELS_RANGES = ((0.2, 5.0), (0.2, 5.0), (0.5, 50.0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_report_route_agrees_across_contours(self, monkeypatch, seed):
+        # thermo_report integrates K on the real axis, the rule sums it on the
+        # imaginary axis: on 40 draws of each family they agree within the sum
+        # of the two estimates (the rule's in units of hbar gamma_o/2pi for n = 1)
+        rng = np.random.default_rng(seed)
+        results = self._recording(monkeypatch, "_imaginary_axis_k")
+        for _ in range(40):
+            g, w0, cutoff = (10.0 ** rng.uniform(math.log10(lo), math.log10(hi))
+                             for lo, hi in self.MODELS_RANGES)
+            for model, entry, unit in ((Exponential(g, cutoff), thermo.k_exponential, 1.0),
+                                       (ExtendedDrude(g, cutoff, 1), thermo.k_extended_drude1,
+                                        g / (2.0 * math.pi))):
+                k = entry(w0, cutoff, g)
+                (estimate,) = results[-1].abs_error_estimate
+                rep = thermo.thermo_report(model, 1.0, w0)
+                assert rep.method == "generic-quadrature"
+                assert abs(rep.K - k) <= rep.error_estimate + unit * estimate, (model, w0)
 
     def test_budget_and_tol_raise(self):
         with pytest.raises(NonConvergence, match="nodes > max_evals 100"):
